@@ -12,31 +12,14 @@ import io
 import json
 import sys
 
-from . import constructions as cons
 from .config import load_config, apply_modulus_overrides
-from .constructions import EXACT, LOWER_BOUND, SingletonViolationError, singleton
-from .defset import coset_partition, defset
-from .oracle import VerificationReport, sweep, verify_instance, instances
-
-FAMILIES = ("euclid-pair", "euclid-lcd", "rs-euclid", "rs-mds", "bch-euclid",
-            "hermitian", "hermitian-lcd", "rs-hermit", "bch-hermit", "li-lcd")
+from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
+from .defset import coset_partition
+from .oracle import FAMILIES, VerificationReport, sweep, verify_instance, instances
 
 CSV_COLUMNS = ("family", "case", "q", "n", "k", "d", "d_kind", "c",
                "maximal_entanglement", "singleton_bound", "defect",
                "classification", "inputs", "warnings", "verification")
-
-_REQUIRED = {
-    "euclid-pair": ("n", "q", "z1", "z2", "d1", "d2"),
-    "euclid-lcd": ("n", "q", "z", "d"),
-    "rs-euclid": ("q", "k1", "b1", "k2", "b2"),
-    "rs-mds": ("q", "k", "b"),
-    "bch-euclid": ("q", "a", "b"),
-    "hermitian": ("q", "n", "z", "d"),
-    "hermitian-lcd": ("q", "n", "z", "d"),
-    "rs-hermit": ("q", "t", "r"),
-    "bch-hermit": ("q", "a"),
-    "li-lcd": ("q", "m", "delta"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,10 +28,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _parse_elems(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _plain(value):
@@ -69,7 +48,7 @@ def _flat(value) -> str:
     return str(value)
 
 
-def output_row(p: cons.QuentaParams, report: VerificationReport | None = None) -> dict:
+def output_row(p: QuentaParams, report: VerificationReport | None = None) -> dict:
     rep = singleton(p)
     row = {
         "family": p.family,
@@ -150,44 +129,13 @@ def cmd_cosets(args) -> int:
     return 0
 
 
-def _construct_params(args) -> cons.QuentaParams:
-    fam = args.family
-    missing = [name for name in _REQUIRED[fam] if getattr(args, name) is None]
+def cmd_construct(args, cfg) -> int:
+    family = FAMILIES[args.family]
+    missing = [name for name in family.required if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ValueError(f"family {fam} requires {flags}")
-    if fam == "euclid-pair":
-        Z1 = defset(args.n, args.q, _parse_elems(args.z1))
-        Z2 = defset(args.n, args.q, _parse_elems(args.z2))
-        return cons.euclid_pair(Z1, Z2, args.d1, args.d2, args.d1_kind, args.d2_kind)
-    if fam == "euclid-lcd":
-        return cons.euclid_lcd(defset(args.n, args.q, _parse_elems(args.z)),
-                               args.d, args.d_kind)
-    if fam == "rs-euclid":
-        n = args.n if args.n is not None else args.q - 1
-        return cons.rs_euclid(args.q, n, args.k1, args.b1, args.k2, args.b2)
-    if fam == "rs-mds":
-        n = args.n if args.n is not None else args.q - 1
-        return cons.rs_euclid_mds(args.q, n, args.k, args.b)
-    if fam == "bch-euclid":
-        return cons.bch_euclid(args.q, args.a, args.b)
-    if fam == "hermitian":
-        Z = defset(args.n, args.q * args.q, _parse_elems(args.z))
-        return cons.hermitian_code(args.q, Z, args.d, args.d_kind)
-    if fam == "hermitian-lcd":
-        Z = defset(args.n, args.q * args.q, _parse_elems(args.z))
-        return cons.hermitian_lcd(args.q, Z, args.d, args.d_kind)
-    if fam == "rs-hermit":
-        return cons.rs_hermit(args.q, args.t, args.r)
-    if fam == "bch-hermit":
-        return cons.bch_hermit(args.q, args.a)
-    if fam == "li-lcd":
-        return cons.lcd_cyclic_family(args.q, args.m, args.delta)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def cmd_construct(args, cfg) -> int:
-    p = _construct_params(args)
+        raise ValueError(f"family {family.name} requires {flags}")
+    p = family.construct(args)
     report = None
     if args.verify:
         report = verify_instance(p, matrix_cap=cfg.matrix_cap,
@@ -250,7 +198,7 @@ def _add_format(p) -> None:
 
 
 def _add_sweep_flags(p) -> None:
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -269,7 +217,7 @@ def build_parser() -> _Parser:
     _add_format(p)
 
     p = sub.add_parser("construct", help="build one parameter set")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=tuple(FAMILIES))
     for flag in ("q", "n", "k", "b", "k1", "b1", "k2", "b2", "a", "t", "r", "m",
                  "delta", "d", "d1", "d2"):
         p.add_argument(f"--{flag}", type=int)

@@ -17,14 +17,15 @@ import os
 from dataclasses import dataclass, field
 
 from . import gf
+from .oracle import DEFAULT_DISTANCE_CAP, DEFAULT_MATRIX_CAP
 
 ENV_VAR = "QUENTA_CONFIG"
 
 
 @dataclass
 class Config:
-    matrix_cap: int = 100
-    distance_cap: int = 1 << 22
+    matrix_cap: int = DEFAULT_MATRIX_CAP
+    distance_cap: int = DEFAULT_DISTANCE_CAP
     moduli: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
 

@@ -115,10 +115,10 @@ def singleton(p: QuentaParams) -> SingletonReport:
     return SingletonReport(bound=bound, defect=defect, classification=cls)
 
 
-def _combine_min(d1: int, kind1: str, d2: int, kind2: str) -> tuple[int, str]:
-    """min of two distance claims; exact only when an exact claim attains it."""
-    m = min(d1, d2)
-    exact_floor = min([d for d, k in ((d1, kind1), (d2, kind2)) if k == EXACT], default=None)
+def combine_min(pairs) -> tuple[int, str]:
+    """min over (distance, kind) pairs; exact only when an exact distance attains it."""
+    m = min(d for d, _ in pairs)
+    exact_floor = min([d for d, k in pairs if k == EXACT], default=None)
     return m, (EXACT if exact_floor == m else LOWER_BOUND)
 
 
@@ -136,7 +136,7 @@ def euclid_pair(Z1: DefiningSet, Z2: DefiningSet, d1: int, d2: int,
     n, q = Z1.n, Z1.q
     k1, k2 = n - len(Z1), n - len(Z2)
     t = len(euclidean_dual_defset(Z1).intersection(Z2))
-    d, d_kind = _combine_min(d1, d1_kind, d2, d2_kind)
+    d, d_kind = combine_min([(d1, d1_kind), (d2, d2_kind)])
     return _params(
         q, n, k1 - t, d, d_kind, n - k2 - t,
         family="euclid-pair", case="",

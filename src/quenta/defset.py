@@ -120,6 +120,17 @@ def coset_partition(n: int, q: int) -> CosetPartition:
     return CosetPartition(n, q, tuple(cosets))
 
 
+def coset_closed_subsets(n: int, q: int):
+    """All coset-closed subsets of Z_n under q, in a stable order."""
+    cosets = coset_partition(n, q).cosets
+    for mask in range(1 << len(cosets)):
+        elems: set[int] = set()
+        for i, cs in enumerate(cosets):
+            if mask >> i & 1:
+                elems |= cs.as_set()
+        yield defset(n, q, elems)
+
+
 def euclidean_dual_defset(Z: DefiningSet) -> DefiningSet:
     """Z(C^dual) = Z_n minus the negation of Z mod n."""
     neg = {(-i) % Z.n for i in Z.elems}

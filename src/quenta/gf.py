@@ -379,19 +379,24 @@ def field_create(p: int, m: int, modulus: tuple[int, ...] | None = None) -> GF:
     return _build_field(p, m)
 
 
-def field_from_order(q: int) -> GF:
-    """GF(q) for a prime power q."""
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m for a prime p, or None when q is not a prime power."""
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0
-            t = q
-            while t % p == 0:
-                t //= p
+            while q % p == 0:
+                q //= p
                 m += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return field_create(p, m)
-    raise ValueError(f"{q} is not a prime power")
+            return (p, m) if q == 1 else None
+    return None
+
+
+def field_from_order(q: int) -> GF:
+    """GF(q) for a prime power q."""
+    pm = prime_power(q)
+    if pm is None:
+        raise ValueError(f"{q} is not a prime power")
+    return field_create(*pm)
 
 
 class Embedding:

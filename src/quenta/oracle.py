@@ -11,27 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
 
 from . import constructions as cons
 from .code import (
+    DEFAULT_DISTANCE_CAP,
     EnumerationCapError,
     LinearCode,
     conj_transpose_q,
     cyclic_code,
     frobenius_entrywise,
     hermitian_dual_code,
-    hull_dim,
     intersection_dim_matrices,
     min_distance_exhaustive,
     product,
     rank,
     transpose,
 )
-from .constructions import EXACT, LOWER_BOUND, QuentaParams
+from .constructions import EXACT, LOWER_BOUND, QuentaParams, combine_min
 from .defset import (
     DefiningSet,
     bch_bound,
-    coset_partition,
+    coset_closed_subsets,
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
@@ -39,10 +41,9 @@ from .defset import (
     is_lcd_euclidean,
     is_lcd_hermitian,
 )
-from .gf import GF, field_from_order, splitting_field
+from .gf import field_create, prime_power, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
-DEFAULT_DISTANCE_CAP = 1 << 22
 RELATIVE_DISTANCE_CAP = 1 << 10
 
 SKIPPED = "skipped_cap"
@@ -157,13 +158,6 @@ def _code_distance(C: LinearCode, Z: DefiningSet, distance_cap: int):
         return bch_bound(Z), LOWER_BOUND
 
 
-def _combine_measured(pairs):
-    """min over (value, kind) distance measurements, tracking exactness."""
-    m = min(v for v, _ in pairs)
-    exact_floor = min([v for v, k in pairs if k == EXACT], default=None)
-    return m, (EXACT if exact_floor == m else LOWER_BOUND)
-
-
 def _d_row(p: QuentaParams, measured, measured_kind) -> ReportRow:
     if p.d_kind == EXACT:
         if measured_kind == EXACT:
@@ -185,39 +179,19 @@ def _d_row(p: QuentaParams, measured, measured_kind) -> ReportRow:
 # per-family verification
 # ----------------------------------------------------------------------
 
-_EUCLID_FAMILIES = {"euclid-pair", "euclid-lcd", "rs-euclid", "rs-mds", "bch-euclid"}
-_HERMITIAN_FAMILIES = {"hermitian", "hermitian-lcd", "bch-hermit"}
-
-
 def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
                     distance_cap: int = DEFAULT_DISTANCE_CAP) -> VerificationReport:
     """Re-measure every quantity of a constructed instance by brute force."""
-    if p.family in _EUCLID_FAMILIES:
-        return _verify_euclid(p, matrix_cap, distance_cap)
-    if p.family in _HERMITIAN_FAMILIES:
-        return _verify_hermitian(p, matrix_cap, distance_cap)
-    if p.family == "rs-hermit":
-        return _verify_rs_hermit(p)
-    if p.family == "li-lcd":
-        return _verify_closed_form(p)
-    raise ValueError(f"unknown family {p.family!r}")
-
-
-def _is_prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+    return _family(p.family).verify(p, matrix_cap, distance_cap)
 
 
 def _materialize_base(q: int, n: int, matrix_cap: int):
     """(base_field, ext_field) or (None, reason)."""
-    if not _is_prime_power(q):
+    pm = prime_power(q)
+    if pm is None:
         return None, f"q = {q} is not a prime power"
     # field construction errors (e.g. a bad modulus override) must surface
-    base = field_from_order(q)
+    base = field_create(*pm)
     if n > matrix_cap:
         return None, f"n = {n} exceeds matrix cap {matrix_cap}"
     if math.gcd(n, base.p) != 1:
@@ -229,13 +203,13 @@ def _materialize_base(q: int, n: int, matrix_cap: int):
     return (base, ext), None
 
 
-def _skip_all(p: QuentaParams, names, reason, extra_rows=()) -> VerificationReport:
-    rows = [_skip_row(nm, pred, reason) for nm, pred in names]
-    return _finish(p, list(extra_rows) + rows)
+def _skip_all(p: QuentaParams, names, reason) -> VerificationReport:
+    return _finish(p, [_skip_row(nm, pred, reason) for nm, pred in names])
 
 
-def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap) -> VerificationReport:
-    lcd = p.family == "euclid-lcd"
+def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
+                   lcd: bool = False, rs: bool = False) -> VerificationReport:
+    """Pair verifier; ``lcd`` adds the hull row, ``rs`` skips n != q - 1 (formula mode)."""
     if lcd:
         Z1 = Z2 = p.defset_named("Z")
     else:
@@ -246,7 +220,7 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap) -> VerificationRep
     skip_names = [("k", p.k), ("c", p.c), ("intersection", pred_int), ("d", p.d)]
     if lcd:
         skip_names.append(("hull", 0))
-    if p.family in ("rs-euclid", "rs-mds") and n != q - 1:
+    if rs and n != q - 1:
         return _skip_all(p, skip_names, f"formula mode (n = {n} != q - 1): not materialized")
     made, reason = _materialize_base(q, n, matrix_cap)
     if made is None:
@@ -256,17 +230,18 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap) -> VerificationRep
     C1 = cyclic_code(Z1, base, ext)
     C2 = C1 if Z2 == Z1 else cyclic_code(Z2, base, ext)
     c_rank = entanglement_rank_euclid(C1, C2)
+    # entanglement_rank_euclid asserted c = dim C1-dual - this intersection (the hull if LCD)
+    inter = C1.H.nrows - c_rank
     rows = [
         _exact_row("k", p.k, C1.k + C2.k - n + c_rank),
         _exact_row("c", p.c, c_rank),
-        _exact_row("intersection", pred_int, intersection_dim_matrices(C1.H, C2.G)),
+        _exact_row("intersection", pred_int, inter),
     ]
     if lcd:
-        rows.append(_exact_row("hull", 0, hull_dim(C1)))
+        rows.append(_exact_row("hull", 0, inter))
     d1 = _code_distance(C1, Z1, distance_cap)
     d2 = d1 if C2 is C1 else _code_distance(C2, Z2, distance_cap)
-    measured, mkind = _combine_measured([d1, d2])
-    rows.append(_d_row(p, measured, mkind))
+    rows.append(_d_row(p, *combine_min([d1, d2])))
 
     notes = []
     rel1 = relative_min_weight(C1, C2.G)
@@ -281,8 +256,9 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap) -> VerificationRep
     return _finish(p, rows, notes)
 
 
-def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap) -> VerificationReport:
-    lcd = p.family == "hermitian-lcd"
+def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
+                      lcd: bool = False) -> VerificationReport:
+    """Single-code verifier over GF(q^2); ``lcd`` adds the hull row."""
     Z = p.defset_named("Z")
     n, q0 = p.n, p.q
     q2 = q0 * q0
@@ -298,17 +274,16 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap) -> Verification
 
     C = cyclic_code(Z, base, ext)
     c_rank = entanglement_rank_hermitian(C, q0)
+    # entanglement_rank_hermitian asserted c = dim Hermitian dual (n - k) - this hull
+    hull = n - C.k - c_rank
     rows = [
         _exact_row("k", p.k, 2 * C.k - n + c_rank),
         _exact_row("c", p.c, c_rank),
-        _exact_row("intersection", s, intersection_dim_matrices(
-            hermitian_dual_code(C, q0).G, C.G)),
+        _exact_row("intersection", s, hull),
     ]
     if lcd:
-        rows.append(_exact_row("hull", 0, intersection_dim_matrices(
-            hermitian_dual_code(C, q0).G, C.G)))
-    measured, mkind = _code_distance(C, Z, distance_cap)
-    rows.append(_d_row(p, measured, mkind))
+        rows.append(_exact_row("hull", 0, hull))
+    rows.append(_d_row(p, *_code_distance(C, Z, distance_cap)))
 
     notes = []
     rel = relative_min_weight(C, frobenius_entrywise(C.G, q0))
@@ -317,7 +292,7 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap) -> Verification
     return _finish(p, rows, notes)
 
 
-def _verify_rs_hermit(p: QuentaParams) -> VerificationReport:
+def _verify_rs_hermit(p: QuentaParams, *_caps) -> VerificationReport:
     q = p.input_named("q")
     t = p.input_named("t")
     r = p.input_named("r")
@@ -338,7 +313,7 @@ def _verify_rs_hermit(p: QuentaParams) -> VerificationReport:
     return _finish(p, rows)
 
 
-def _verify_closed_form(p: QuentaParams) -> VerificationReport:
+def _verify_closed_form(p: QuentaParams, *_caps) -> VerificationReport:
     rows = [
         _skip_row("k", p.k, "closed form only; classical generators not materialized"),
         _exact_row("c", p.c, p.n - p.k, "maximal-entanglement arithmetic"),
@@ -348,86 +323,142 @@ def _verify_closed_form(p: QuentaParams) -> VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# family sweeps
+# the family registry and its sweeps
 # ----------------------------------------------------------------------
 
-def _coset_closed_subsets(n: int, base: int):
-    """All coset-closed subsets of Z_n under the base, in a stable order."""
-    part = coset_partition(n, base)
-    cosets = part.cosets
-    for mask in range(1 << len(cosets)):
-        elems: set[int] = set()
-        for i, cs in enumerate(cosets):
-            if mask >> i & 1:
-                elems |= cs.as_set()
-        yield defset(n, base, elems)
+def _defset_flag(n: int, base: int, text: str) -> DefiningSet:
+    return defset(n, base, [int(tok) for tok in text.split(",") if tok.strip() != ""])
+
+
+def _rs_length(q: int, n: int | None) -> int:
+    return q - 1 if n is None else n
+
+
+def _subsets(n: int | None, base: int) -> list[DefiningSet]:
+    if n is None:
+        raise ValueError("family needs n")
+    return list(coset_closed_subsets(n, base))
+
+
+def _euclid_pair_grid(q, n, **_):
+    subsets = _subsets(n, q)
+    for Z1 in subsets:
+        for Z2 in subsets:
+            yield cons.euclid_pair(Z1, Z2, bch_bound(Z1), bch_bound(Z2), LOWER_BOUND, LOWER_BOUND)
+
+
+def _euclid_lcd_grid(q, n, **_):
+    for Z in _subsets(n, q):
+        if is_lcd_euclidean(Z):
+            yield cons.euclid_lcd(Z, bch_bound(Z), LOWER_BOUND)
+
+
+def _rs_euclid_grid(q, n, **_):
+    n = _rs_length(q, n)
+    for k1 in range(1, n):
+        for b1 in range(0, k1 + 1):
+            for k2 in range(1, n):
+                for b2 in range(0, k2 + 1 - b1 + 1):
+                    yield cons.rs_euclid(q, n, k1, b1, k2, b2)
+
+
+def _rs_mds_grid(q, n, **_):
+    n = _rs_length(q, n)
+    for k in range(1, n):
+        for b in range(1, (k + 1) // 2 + 1):
+            if n + 2 * b - 2 * k - 1 >= 0:
+                yield cons.rs_euclid_mds(q, n, k, b)
+
+
+def _bch_euclid_grid(q, **_):
+    for a in range(q):
+        for b in range(1, q + 1):
+            if not (a >= q - b and b == q):
+                yield cons.bch_euclid(q, a, b)
+
+
+def _hermitian_grid(q, n, **_):
+    for Z in _subsets(n, q * q):
+        yield cons.hermitian_code(q, Z, bch_bound(Z), LOWER_BOUND)
+
+
+def _hermitian_lcd_grid(q, n, **_):
+    for Z in _subsets(n, q * q):
+        if is_lcd_hermitian(Z):
+            yield cons.hermitian_lcd(q, Z, bch_bound(Z), LOWER_BOUND)
+
+
+def _rs_hermit_grid(q, **_):
+    for t in range(1, q):
+        for r in range(q):
+            if q * t + r < q * q:
+                yield cons.rs_hermit(q, t, r)
+
+
+def _bch_hermit_grid(q, a_values, **_):
+    values = a_values if a_values is not None else range(2, q * q)
+    for a in values:
+        yield cons.bch_hermit(q, a)
+
+
+def _li_lcd_grid(q, m, delta_values, **_):
+    if m is None:
+        raise ValueError("family needs m")
+    delta_max = q ** (2 * ((m + 1) // 2)) + 1
+    values = delta_values if delta_values is not None else range(2, delta_max + 1)
+    for delta in values:
+        yield cons.lcd_cyclic_family(q, m, delta)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One construction family: its CLI inputs, sweep grid, verifier and constructor."""
+
+    name: str
+    required: tuple[str, ...]  # construct inputs, in the order a missing-flag error names them
+    grid: Callable[..., Iterable[QuentaParams]]  # (q=, n=, m=, a_values=, delta_values=)
+    verify: Callable[[QuentaParams, int, int], VerificationReport]  # (p, matrix_cap, distance_cap)
+    construct: Callable[..., QuentaParams]  # from the parsed CLI arguments
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("euclid-pair", ("n", "q", "z1", "z2", "d1", "d2"), _euclid_pair_grid, _verify_euclid,
+           lambda a: cons.euclid_pair(_defset_flag(a.n, a.q, a.z1), _defset_flag(a.n, a.q, a.z2),
+                                      a.d1, a.d2, a.d1_kind, a.d2_kind)),
+    Family("euclid-lcd", ("n", "q", "z", "d"), _euclid_lcd_grid, partial(_verify_euclid, lcd=True),
+           lambda a: cons.euclid_lcd(_defset_flag(a.n, a.q, a.z), a.d, a.d_kind)),
+    Family("rs-euclid", ("q", "k1", "b1", "k2", "b2"), _rs_euclid_grid,
+           partial(_verify_euclid, rs=True),
+           lambda a: cons.rs_euclid(a.q, _rs_length(a.q, a.n), a.k1, a.b1, a.k2, a.b2)),
+    Family("rs-mds", ("q", "k", "b"), _rs_mds_grid, partial(_verify_euclid, rs=True),
+           lambda a: cons.rs_euclid_mds(a.q, _rs_length(a.q, a.n), a.k, a.b)),
+    Family("bch-euclid", ("q", "a", "b"), _bch_euclid_grid, _verify_euclid,
+           lambda a: cons.bch_euclid(a.q, a.a, a.b)),
+    Family("hermitian", ("q", "n", "z", "d"), _hermitian_grid, _verify_hermitian,
+           lambda a: cons.hermitian_code(a.q, _defset_flag(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
+    Family("hermitian-lcd", ("q", "n", "z", "d"), _hermitian_lcd_grid,
+           partial(_verify_hermitian, lcd=True),
+           lambda a: cons.hermitian_lcd(a.q, _defset_flag(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
+    Family("rs-hermit", ("q", "t", "r"), _rs_hermit_grid, _verify_rs_hermit,
+           lambda a: cons.rs_hermit(a.q, a.t, a.r)),
+    Family("bch-hermit", ("q", "a"), _bch_hermit_grid, _verify_hermitian,
+           lambda a: cons.bch_hermit(a.q, a.a)),
+    Family("li-lcd", ("q", "m", "delta"), _li_lcd_grid, _verify_closed_form,
+           lambda a: cons.lcd_cyclic_family(a.q, a.m, a.delta)),
+)}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 def instances(family: str, q: int, n: int | None = None, m: int | None = None,
               a_values=None, delta_values=None) -> list[QuentaParams]:
     """Deterministic (lexicographic) legal parameter sweep for one family."""
-    out: list[QuentaParams] = []
-    if family == "bch-euclid":
-        for a in range(q):
-            for b in range(1, q + 1):
-                if a >= q - b and b == q:
-                    continue
-                out.append(cons.bch_euclid(q, a, b))
-    elif family == "rs-euclid":
-        nn = q - 1 if n is None else n
-        for k1 in range(1, nn):
-            for b1 in range(0, k1 + 1):
-                for k2 in range(1, nn):
-                    for b2 in range(0, k2 + 1 - b1 + 1):
-                        out.append(cons.rs_euclid(q, nn, k1, b1, k2, b2))
-    elif family == "rs-mds":
-        nn = q - 1 if n is None else n
-        for k in range(1, nn):
-            for b in range(1, (k + 1) // 2 + 1):
-                if nn + 2 * b - 2 * k - 1 < 0:
-                    continue
-                out.append(cons.rs_euclid_mds(q, nn, k, b))
-    elif family == "rs-hermit":
-        for t in range(1, q):
-            for r in range(q):
-                if q * t + r < q * q:
-                    out.append(cons.rs_hermit(q, t, r))
-    elif family == "bch-hermit":
-        values = a_values if a_values is not None else range(2, q * q)
-        for a in values:
-            out.append(cons.bch_hermit(q, a))
-    elif family in ("euclid-pair", "euclid-lcd"):
-        if n is None:
-            raise ValueError("family needs n")
-        subsets = list(_coset_closed_subsets(n, q))
-        if family == "euclid-lcd":
-            for Z in subsets:
-                if is_lcd_euclidean(Z):
-                    out.append(cons.euclid_lcd(Z, bch_bound(Z), LOWER_BOUND))
-        else:
-            for Z1 in subsets:
-                for Z2 in subsets:
-                    out.append(cons.euclid_pair(
-                        Z1, Z2, bch_bound(Z1), bch_bound(Z2), LOWER_BOUND, LOWER_BOUND))
-    elif family in ("hermitian", "hermitian-lcd"):
-        if n is None:
-            raise ValueError("family needs n")
-        for Z in _coset_closed_subsets(n, q * q):
-            if family == "hermitian-lcd":
-                if is_lcd_hermitian(Z):
-                    out.append(cons.hermitian_lcd(q, Z, bch_bound(Z), LOWER_BOUND))
-            else:
-                out.append(cons.hermitian_code(q, Z, bch_bound(Z), LOWER_BOUND))
-    elif family == "li-lcd":
-        if m is None:
-            raise ValueError("family needs m")
-        delta_max = q ** (2 * ((m + 1) // 2)) + 1
-        values = delta_values if delta_values is not None else range(2, delta_max + 1)
-        for delta in values:
-            out.append(cons.lcd_cyclic_family(q, m, delta))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return out
+    return list(_family(family).grid(q=q, n=n, m=m, a_values=a_values,
+                                     delta_values=delta_values))
 
 
 def sweep(family: str, q: int, n: int | None = None, m: int | None = None,

@@ -19,7 +19,7 @@ from quenta.code import (
 )
 from quenta.defset import (
     bch_bound,
-    coset_partition,
+    coset_closed_subsets as closed_subsets,
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
@@ -30,16 +30,6 @@ from quenta.oracle import (
     entanglement_rank_hermitian,
     instances,
 )
-
-
-def closed_subsets(n, base):
-    part = coset_partition(n, base)
-    for mask in range(1 << len(part.cosets)):
-        elems = set()
-        for i, c in enumerate(part.cosets):
-            if mask >> i & 1:
-                elems |= c.as_set()
-        yield defset(n, base, elems)
 
 
 def test_criterion_1_euclidean_duality_and_intersections():

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from quenta import gf
-from quenta.cli import CSV_COLUMNS, main
+from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
+from quenta.oracle import instances, verify_instance
 
 
 def run(capsys, *argv):
@@ -113,6 +114,43 @@ def test_construct_verification_failure_exits_2(capsys):
                        "--d1", "4", "--d2", "4", "--verify")
     assert code == 2
     assert json.loads(out)["verification"]["passed"] is False
+
+
+# (family, sweep arguments, grid index, construct flags, kind flags set to
+# lower_bound); each flag's value is the instance's input of the same name
+_ROUND_TRIPS = [
+    ("euclid-pair", {"q": 2, "n": 7}, 21, ("n", "q", "Z1", "Z2", "d1", "d2"),
+     ("d1-kind", "d2-kind")),
+    ("euclid-lcd", {"q": 2, "n": 15}, 8, ("n", "q", "Z", "d"), ("d-kind",)),
+    ("rs-euclid", {"q": 5}, 40, ("q", "k1", "b1", "k2", "b2"), ()),
+    ("rs-mds", {"q": 7}, 3, ("q", "n", "k", "b"), ()),
+    ("bch-euclid", {"q": 3}, 3, ("q", "a", "b"), ()),
+    ("hermitian", {"q": 2, "n": 5}, 4, ("q", "n", "Z", "d"), ("d-kind",)),
+    ("hermitian-lcd", {"q": 2, "n": 5}, 2, ("q", "n", "Z", "d"), ("d-kind",)),
+    ("rs-hermit", {"q": 3}, 3, ("q", "t", "r"), ()),
+    ("bch-hermit", {"q": 3}, 0, ("q", "a"), ()),
+    ("li-lcd", {"q": 2, "m": 3}, 8, ("q", "m", "delta"), ()),
+]
+
+
+@pytest.mark.parametrize("family,grid,index,flags,kinds", _ROUND_TRIPS,
+                         ids=[case[0] for case in _ROUND_TRIPS])
+def test_construct_rebuilds_sweep_instance(capsys, monkeypatch, family, grid, index,
+                                           flags, kinds):
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    p = instances(family, **grid)[index]
+    argv = ["construct", family]
+    for name in flags:
+        value = p.input_named(name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        argv += ["--" + name.lower(), str(value)]
+    for flag in kinds:
+        argv += ["--" + flag, "lower_bound"]
+    code, out, _ = run(capsys, *argv, "--verify")
+    report = verify_instance(p)
+    assert code == (0 if report.passed else 2)
+    assert out == json.dumps(output_row(p, report), indent=2) + "\n"
 
 
 def test_construct_missing_flags(capsys):

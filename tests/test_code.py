@@ -28,7 +28,7 @@ from quenta.code import (
 )
 from quenta.defset import (
     bch_bound,
-    coset_partition,
+    coset_closed_subsets as closed_subsets,
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
@@ -41,16 +41,6 @@ F3 = field_create(3, 1)
 F4 = field_create(2, 2)
 F7 = field_create(7, 1)
 F9 = field_create(3, 2)
-
-
-def closed_subsets(n, q):
-    part = coset_partition(n, q)
-    for mask in range(1 << len(part.cosets)):
-        elems = set()
-        for i, c in enumerate(part.cosets):
-            if mask >> i & 1:
-                elems |= c.as_set()
-        yield defset(n, q, elems)
 
 
 def test_matrix_validation():

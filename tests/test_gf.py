@@ -10,6 +10,7 @@ from quenta.gf import (
     field_create,
     field_from_order,
     is_prime,
+    prime_power,
     set_modulus_override,
     splitting_field,
 )
@@ -143,6 +144,8 @@ def test_field_from_order():
     assert field_from_order(9).modulus == field_create(3, 2).modulus
     assert field_from_order(2).q == 2
     assert field_from_order(1024).m == 10
+    assert [prime_power(q) for q in (1, 2, 6, 9, 12, 1024)] == [
+        None, (2, 1), None, (3, 2), None, (2, 10)]
 
 
 def test_is_prime():
