@@ -2,9 +2,9 @@
 
 Generator/parity-check pairs built from generator polynomials, exact
 rank/RREF/kernel computations, Euclidean and Hermitian duals, hull
-dimensions, and exhaustive minimum distance by vectorized message-space
-enumeration.  Everything is exact; numpy is used only as a fast carrier
-for table-lookup arithmetic during enumeration.
+dimensions, and exhaustive minimum distance by meet-in-the-middle
+codeword enumeration.  Everything is exact; numpy is used only as a fast
+carrier for XOR and digit-wise mod-p addition during enumeration.
 """
 
 from __future__ import annotations
@@ -278,73 +278,96 @@ def defining_set_of(C: LinearCode, ext: GF) -> DefiningSet:
 # exhaustive minimum distance
 # ----------------------------------------------------------------------
 
-def _block_codewords(G_np: np.ndarray, msgs: np.ndarray, F: GF) -> np.ndarray:
-    """Codewords msgs @ G over the field; msgs is (B, k), result (B, n)."""
-    if F.m == 1:
-        return (msgs @ G_np) % F.p
-    add_t, mul_t = F.np_tables()
-    acc = np.zeros((msgs.shape[0], G_np.shape[1]), dtype=np.int32)
-    for i in range(G_np.shape[0]):
-        prods = mul_t[msgs[:, i][:, None], G_np[i][None, :]]
-        if F.p == 2:
-            acc ^= prods
-        else:
-            acc = add_t[acc, prods]
-    return acc
+_BLOCK = 1 << 13  # most words of the low group's span in one numpy block
 
 
-def _scalar_min_distance(C: LinearCode, total: int) -> int:
-    # big-field fallback: same enumeration, element-at-a-time
-    F = C.field
-    k, n, q = C.k, C.n, F.q
+def _enumeration_ops(F: GF):
+    """(encode, add, width) for the enumerator's element arrays over F.
+
+    Characteristic 2 XORs the int encodings; odd characteristic stores
+    ``width`` = m base-p digits per symbol and adds them mod p.
+    """
+    p, m = F.p, F.m
+    if p == 2:
+        dtype = np.min_scalar_type(F.q - 1)
+        return (lambda a: a.astype(dtype)), np.bitwise_xor, 1
+    dtype = np.min_scalar_type(2 * (p - 1))
+    radix, p_t = p ** np.arange(m), dtype.type(p)
+
+    def encode(a):
+        return (a[..., None] // radix % p).reshape(len(a), -1).astype(dtype)
+
+    def add(a, b):
+        total = a + b
+        # unsigned: total - p wraps above total exactly when total < p
+        return np.minimum(total, total - p_t)
+
+    return encode, add, m
+
+
+def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
+    """Least weight on the first n columns of the words x·rows, x != 0.
+
+    With ``relative``, only words whose columns past n (a syndrome tail) are
+    nonzero count.  Returns n + 1 when no word counts.  Meet in the middle:
+    the span of a low group of rows (at most _BLOCK words per block; a single
+    row over a larger field is split into blocks of its multiples) is added to
+    the words of the high group's span, as many at once as fill about _BLOCK
+    words, in one numpy operation, with early exit at weight 1.  Both spans
+    grow by one scaled row at a time.  Words are stored as columns, so a
+    weight is a sum over contiguous rows.
+    """
+    if not rows:
+        return n + 1
+    encode, add, width = _enumeration_ops(F)
+    q = F.q
+    k_lo = 1
+    while k_lo < len(rows) and q ** (k_lo + 1) <= _BLOCK:
+        k_lo += 1
+
+    def multiples(row, scalars):
+        return encode(np.array([[F.mul(a, e) for e in row] for a in scalars], dtype=np.int64)).T
+
+    def span(group):
+        table = multiples(rows[0], [0])  # the zero word
+        for row in group:
+            scaled = multiples(row, range(1, q)).T
+            table = np.concatenate([table] + [add(table, s[:, None]) for s in scaled], axis=1)
+        return table
+
+    if q > _BLOCK:
+        lows = (multiples(rows[0], range(s, min(s + _BLOCK, q))) for s in range(0, q, _BLOCK))
+    else:
+        lows = [span(rows[:k_lo])]
+    high = span(rows[k_lo:])
+    weight_t = np.min_scalar_type(n + 1)
     best = n + 1
-    for idx in range(1, total):
-        word = [0] * n
-        rem = idx
-        for i in range(k):
-            rem, digit = divmod(rem, q)
-            if digit:
-                for j, gij in enumerate(C.G.rows[i]):
-                    if gij:
-                        word[j] = F.add(word[j], F.mul(digit, gij))
-        w = sum(1 for e in word if e)
-        if w < best:
-            best = w
+    for low in lows:
+        step = max(1, _BLOCK // low.shape[1])
+        for i in range(0, high.shape[1], step):
+            nonzero = add(low[:, None, :], high[:, i:i + step, None]).reshape(len(low), -1) != 0
+            if width > 1:
+                nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
+            weights = nonzero[:n].sum(axis=0, dtype=weight_t)
+            counted = nonzero[n:].any(axis=0) if relative else weights > 0
+            best = int(weights.min(initial=best, where=counted))
             if best == 1:
-                break
+                return best
     return best
 
 
 def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """Exact minimum Hamming weight over all nonzero codewords.
 
-    Enumerates the full message space in vectorized blocks with early exit
-    at weight 1.  The zero code reports n + 1.  Raises EnumerationCapError
-    when q^k exceeds the cap so callers can fall back to bch_bound.
+    Enumerates the full message space with the meet-in-the-middle kernel,
+    with early exit at weight 1.  The zero code reports n + 1.  Raises
+    EnumerationCapError when q^k exceeds the cap so callers can fall back to
+    bch_bound.
     """
-    F = C.field
-    k, n, q = C.k, C.n, F.q
-    if k == 0:
-        return n + 1
+    q, k = C.field.q, C.k
     total = q ** k
-    if total > cap:
+    if k and total > cap:
         raise EnumerationCapError(
             f"q^k = {q}^{k} = {total} exceeds enumeration cap {cap}"
         )
-    if F.m > 1 and F.q > 512:
-        return _scalar_min_distance(C, total)
-    G_np = C.G.to_numpy().astype(np.int32)
-    best = n + 1
-    block = 1 << 13
-    radix = q ** np.arange(k, dtype=np.int64)
-    for start in range(1, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = (idx[:, None] // radix[None, :]) % q
-        words = _block_codewords(G_np, msgs.astype(np.int32), F)
-        w = int((words != 0).sum(axis=1).min())
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    return _min_weight(C.field, C.G.rows, C.n)

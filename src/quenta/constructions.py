@@ -26,6 +26,7 @@ from .defset import (
     rs_defset,
     rs_dual_defset,
 )
+from .gf import prime_power
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -85,6 +86,8 @@ class SingletonReport:
 
 
 def _params(q, n, k, d, d_kind, c, family, case, inputs, warnings=(), defsets=()) -> QuentaParams:
+    if prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     warn = list(warnings)
     if k == 0:
         warn.append("degenerate: k = 0")

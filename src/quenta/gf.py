@@ -177,8 +177,6 @@ class GF:
         if not _is_primitive(list(self.modulus), p):
             raise ValueError(f"modulus {self.modulus} is not primitive")
         self._build_tables()
-        self._np_add = None
-        self._np_mul = None
 
     @property
     def key(self):
@@ -336,28 +334,6 @@ class GF:
                 raise ValueError(f"coefficient {c} outside [0, {self.p})")
             val += c * self.p ** i
         return val
-
-    # ------------------------------------------------------------------
-    # numpy tables for vectorized codeword enumeration
-    # ------------------------------------------------------------------
-
-    def np_tables(self):
-        """(add_table, mul_table) as q x q numpy arrays; q <= 512 only."""
-        if self.q > _ADD_TABLE_LIMIT:
-            raise ValueError(f"field too large for dense op tables: q = {self.q}")
-        if self._np_add is None:
-            import numpy as np
-
-            q = self.q
-            add = np.zeros((q, q), dtype=np.int32)
-            mul = np.zeros((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
-            self._np_add = add
-            self._np_mul = mul
-        return self._np_add, self._np_mul
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from .code import (
     frobenius_entrywise,
     hermitian_dual_code,
     intersection_dim_matrices,
+    _min_weight,
     min_distance_exhaustive,
     product,
     rank,
@@ -111,39 +112,22 @@ def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
 def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):
     """Min weight over codewords of C that are NOT in the kernel of M.
 
-    Returns None when every codeword lies in the kernel (empty difference),
-    or the string "capped" when q^k exceeds the small-enumeration cap.
+    Enumerates [G | G·M^T] and weighs the first n columns of the words whose
+    syndrome tail is nonzero.  Returns None when every codeword lies in the
+    kernel (empty difference), or the string "capped" when q^k exceeds the
+    small-enumeration cap.
     """
-    F = C.field
-    k, q = C.k, F.q
-    if q ** k > cap:
+    if C.field.q ** C.k > cap:
         return "capped"
-    best = None
-    for idx in range(1, q ** k):
-        word = [0] * C.n
-        rem = idx
-        for i in range(k):
-            rem, digit = divmod(rem, q)
-            if digit:
-                for j, gij in enumerate(C.G.rows[i]):
-                    if gij:
-                        word[j] = F.add(word[j], F.mul(digit, gij))
-        in_kernel = True
-        for row in M.rows:
-            acc = 0
-            for x, y in zip(row, word):
-                if x and y:
-                    acc = F.add(acc, F.mul(x, y))
-            if acc != 0:
-                in_kernel = False
-                break
-        if not in_kernel:
-            w = sum(1 for e in word if e)
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    break
-    return best
+    rows = [g + s for g, s in zip(C.G.rows, product(C.G, transpose(M)).rows)]
+    best = _min_weight(C.field, rows, C.n, relative=True)
+    return None if best > C.n else best
+
+
+def _relative_capped_note(C: LinearCode) -> str:
+    q, k = C.field.q, C.k
+    return (f"relative distance not enumerated: q^k = {q}^{k} = {q ** k} "
+            f"exceeds cap {RELATIVE_DISTANCE_CAP}")
 
 
 # ----------------------------------------------------------------------
@@ -186,12 +170,9 @@ def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
 
 
 def _materialize_base(q: int, n: int, matrix_cap: int):
-    """(base_field, ext_field) or (None, reason)."""
-    pm = prime_power(q)
-    if pm is None:
-        return None, f"q = {q} is not a prime power"
+    """(base_field, ext_field) or (None, reason); q is a prime power."""
     # field construction errors (e.g. a bad modulus override) must surface
-    base = field_create(*pm)
+    base = field_create(*prime_power(q))
     if n > matrix_cap:
         return None, f"n = {n} exceeds matrix cap {matrix_cap}"
     if math.gcd(n, base.p) != 1:
@@ -246,7 +227,9 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
     notes = []
     rel1 = relative_min_weight(C1, C2.G)
     rel2 = rel1 if C2 is C1 else relative_min_weight(C2, C1.G)
-    if rel1 != "capped" and rel2 != "capped":
+    if "capped" in (rel1, rel2):
+        notes.append(_relative_capped_note(C1 if C1.k >= C2.k else C2))
+    else:
         vals = [v for v in (rel1, rel2) if v is not None]
         joint = min(vals) if vals else None
         notes.append(
@@ -287,7 +270,9 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
 
     notes = []
     rel = relative_min_weight(C, frobenius_entrywise(C.G, q0))
-    if rel != "capped":
+    if rel == "capped":
+        notes.append(_relative_capped_note(C))
+    else:
         notes.append(f"relative distance outside the Hermitian hull: {rel} (claimed d = {p.d})")
     return _finish(p, rows, notes)
 
@@ -341,10 +326,10 @@ def _subsets(n: int | None, base: int) -> list[DefiningSet]:
 
 
 def _euclid_pair_grid(q, n, **_):
-    subsets = _subsets(n, q)
-    for Z1 in subsets:
-        for Z2 in subsets:
-            yield cons.euclid_pair(Z1, Z2, bch_bound(Z1), bch_bound(Z2), LOWER_BOUND, LOWER_BOUND)
+    bounded = [(Z, bch_bound(Z)) for Z in _subsets(n, q)]
+    for Z1, d1 in bounded:
+        for Z2, d2 in bounded:
+            yield cons.euclid_pair(Z1, Z2, d1, d2, LOWER_BOUND, LOWER_BOUND)
 
 
 def _euclid_lcd_grid(q, n, **_):

@@ -166,6 +166,15 @@ def test_construct_precondition_error(capsys):
     assert "error:" in err
 
 
+def test_non_prime_power_q_is_refused(capsys):
+    for argv in (["verify", "--family", "rs-euclid", "--q", "10"],
+                 ["construct", "rs-mds", "--q", "6", "--k", "2", "--b", "1", "--verify"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: q = {argv[argv.index('--q') + 1]} is not a prime power" in err
+
+
 def test_unknown_family_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "rs-secret", "--q", "7"])

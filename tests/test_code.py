@@ -1,7 +1,13 @@
+import itertools
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quenta import code as code_module
 from quenta.code import (
     EnumerationCapError,
     Matrix,
@@ -24,7 +30,6 @@ from quenta.code import (
     stack,
     transpose,
     zero_matrix,
-    _scalar_min_distance,
 )
 from quenta.defset import (
     bch_bound,
@@ -35,6 +40,7 @@ from quenta.defset import (
     intersection_dim,
 )
 from quenta.gf import field_create, field_from_order, splitting_field
+from quenta.oracle import relative_min_weight
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -206,12 +212,81 @@ def test_bch_bound_never_exceeds_true_distance():
         assert bch_bound(Z) <= min_distance_exhaustive(C)
 
 
-def test_scalar_and_block_paths_agree():
-    C = cyclic_code(defset(6, 7, {1, 2, 3}), F7, F7)
-    total = C.field.q ** C.k
-    assert _scalar_min_distance(C, total) == min_distance_exhaustive(C)
-    C9 = cyclic_code(defset(8, 9, {1, 2, 3, 4, 5}), F9, F9)
-    assert _scalar_min_distance(C9, 9 ** C9.k) == min_distance_exhaustive(C9)
+def reference_weights(C, M):
+    """(min distance, relative weight outside ker M) by a message-by-message loop."""
+    F = C.field
+    multiples = [[[F.mul(a, g) for g in row] for a in range(F.q)] for row in C.G.rows]
+    d, rel = C.n + 1, None
+    # the first message of the product is the zero message
+    for parts in itertools.islice(itertools.product(*multiples), 1, None):
+        word = [0] * C.n
+        for part in parts:
+            word = [F.add(x, y) for x, y in zip(word, part)]
+        w = sum(1 for e in word if e)
+        d = min(d, w)
+        if any(_dot(F, mrow, word) for mrow in M.rows):
+            rel = w if rel is None else min(rel, w)
+    return d, rel
+
+
+def _dot(F, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+# q -> largest k drawn, so the reference loop stays fast (one k = 2 code over
+# GF(3^6) takes it seconds); small block sizes send these codes through the
+# split into low and high groups and the chunked multiples of one row
+_DIFF_FIELDS = {F2: 8, F3: 5, F4: 4, F7: 3, F9: 3, field_create(3, 6): 1}
+
+
+@st.composite
+def code_and_map(draw):
+    F = draw(st.sampled_from(sorted(_DIFF_FIELDS, key=lambda f: f.q)))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(n, _DIFF_FIELDS[F])))
+    row = st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)
+    C = code_from_rows(F, draw(st.lists(row, min_size=k, max_size=k)), n)
+    r = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        M = zero_matrix(F, r, n)
+    else:
+        M = matrix(F, draw(st.lists(row, min_size=r, max_size=r)), n)
+    return C, M
+
+
+_RS7 = cyclic_code(defset(6, 7, {1, 2, 3}), F7, F7)
+_RS9 = cyclic_code(defset(8, 9, {1, 2, 3, 4, 5}), F9, F9)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(code_and_map(), st.sampled_from([1, 30, 1 << 22]),
+       st.sampled_from([code_module._BLOCK, 2, 5, 16]))
+@example((_RS7, _RS7.H), 1 << 22, code_module._BLOCK)
+@example((_RS9, _RS9.G), 1 << 22, code_module._BLOCK)
+def test_enumerator_matches_reference_loop(case, cap, block):
+    C, M = case
+    d, rel = reference_weights(C, M)
+    with mock.patch.object(code_module, "_BLOCK", block):
+        assert min_distance_exhaustive(C) == d
+        if C.k and C.field.q ** C.k > cap:
+            with pytest.raises(EnumerationCapError):
+                min_distance_exhaustive(C, cap)
+            assert relative_min_weight(C, M, cap) == "capped"
+        else:
+            assert min_distance_exhaustive(C, cap) == d
+            assert relative_min_weight(C, M, cap) == rel
+
+
+def test_heaviest_gf4_enumeration_budget():
+    # the [15, 11] Hermitian-LCD code over GF(4): 4^11 codewords
+    C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
+    assert C.k == 11
+    t0 = time.perf_counter()
+    assert min_distance_exhaustive(C) == 2
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_code_from_rows_canonicalizes():

@@ -1,8 +1,9 @@
 import pytest
 
 from quenta import constructions as cons
+from quenta import oracle
 from quenta.code import cyclic_code, matrix, zero_matrix
-from quenta.defset import defset
+from quenta.defset import bch_bound, coset_closed_subsets, defset
 from quenta.gf import field_create, splitting_field
 from quenta.oracle import (
     LOWER_OK,
@@ -164,9 +165,10 @@ def test_verify_rs_euclid_formula_mode_skips():
 
 
 def test_verify_non_prime_power_skips():
-    rep = verify_instance(cons.bch_euclid(6, 1, 1))
-    assert all(r.kind == SKIPPED for r in rep.rows)
-    assert "not a prime power" in rep.rows[0].note
+    with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+        cons.bch_euclid(6, 1, 1)
+    with pytest.raises(ValueError, match="q = 10 is not a prime power"):
+        instances("rs-euclid", 10)
 
 
 def test_verify_respects_matrix_cap():
@@ -196,6 +198,21 @@ def test_verify_honest_failure_on_wrong_claim():
 def test_relative_distance_note_present_on_small_instances():
     rep = verify_instance(cons.rs_euclid_mds(7, 6, 3, 2))
     assert any("relative distance" in note for note in rep.notes)
+
+
+def test_relative_distance_note_says_when_capped():
+    rep = verify_instance(cons.euclid_lcd(defset(15, 2, {0}), 2))
+    assert rep.notes == ("relative distance not enumerated: q^k = 2^14 = 16384 exceeds cap 1024",)
+    rep = verify_instance(cons.hermitian_lcd(2, defset(15, 4, {3, 6, 9, 12}), 2))
+    assert rep.notes == ("relative distance not enumerated: q^k = 4^11 = 4194304 exceeds cap 1024",)
+
+
+def test_euclid_pair_grid_bounds_each_subset_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "bch_bound", lambda Z: calls.append(Z) or bch_bound(Z))
+    grid = instances("euclid-pair", 2, n=15)
+    assert len(calls) == len(list(coset_closed_subsets(15, 2)))
+    assert len(grid) == len(calls) ** 2
 
 
 # ----------------------------------------------------------------------
