@@ -1,15 +1,21 @@
 """Concrete linear codes as matrices over finite fields.
 
 Generator/parity-check pairs built from generator polynomials, exact
-rank/RREF/kernel computations, Euclidean and Hermitian duals, hull
-dimensions, and exhaustive minimum distance by meet-in-the-middle
-codeword enumeration.  Everything is exact; numpy is used only as a fast
-carrier for XOR and digit-wise mod-p addition during enumeration.
+rank/RREF/kernel computations and products, Euclidean and Hermitian duals,
+hull dimensions, and exhaustive minimum distance by meet-in-the-middle
+codeword enumeration.  Everything is exact.  Row reduction and products
+pick one kernel per field shape: int bitmask rows over GF(2), numpy arrays
+of int64 field elements for large matrices over other fields, and a
+per-entry Python loop for small ones.  numpy also carries XOR and digit-wise
+mod-p addition during enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ class Matrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
-            if any(not 0 <= e < q for e in r):
+            if r and not (0 <= min(r) and max(r) < q):
                 raise ValueError("entry outside field")
 
     @property
@@ -86,8 +92,25 @@ def product(A: Matrix, B: Matrix) -> Matrix:
         raise ValueError("field mismatch in matrix product")
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
+    kernel = _kernel(A.field, max(A.nrows * A.ncols, B.nrows * B.ncols))
+    return Matrix(A.field, tuple(map(tuple, kernel.product(A, B))), B.ncols)
+
+
+# ----------------------------------------------------------------------
+# row reduction and products: one kernel per field shape
+# ----------------------------------------------------------------------
+
+# Matrices over fields other than GF(2) with at least this many entries (rows
+# x cols; for a product, either factor) go through numpy.  Below it numpy's
+# per-call cost outweighs the per-entry loop: on the GF(4) matrices of a
+# length-15 Hermitian sweep the loop reduces faster up to 200 entries and
+# ties at 225.
+_NUMPY_MIN_ENTRIES = 256
+
+
+def _product_loop(A: Matrix, B: Matrix) -> list[list[int]]:
     F = A.field
-    Bt = tuple(zip(*B.rows)) if B.rows else ()
+    Bt = tuple(zip(*B.rows)) if B.rows else ((),) * B.ncols
     out = []
     for ar in A.rows:
         row = []
@@ -97,11 +120,11 @@ def product(A: Matrix, B: Matrix) -> Matrix:
                 if x and y:
                     acc = F.add(acc, F.mul(x, y))
             row.append(acc)
-        out.append(tuple(row))
-    return Matrix(F, tuple(out), B.ncols)
+        out.append(row)
+    return out
 
 
-def _rref_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
+def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; deterministic first-nonzero row-major pivoting."""
     F = M.field
     rows = [list(r) for r in M.rows]
@@ -128,6 +151,140 @@ def _rref_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
         if pr == len(rows):
             break
     return rows, pivots
+
+
+_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(rows) -> list[int]:
+    """GF(2) rows as int bitmasks, the first column in the most significant bit."""
+    return [int(bytes(r).translate(_TO_BITS) or b"0", 2) for r in rows]
+
+
+def _rref_gf2(M: Matrix) -> tuple[list[tuple[int, ...]], list[int]]:
+    """GF(2) RREF by XOR of bitmask rows; the next pivot is the highest set bit left."""
+    n = M.ncols
+    rows = _pack(M.rows)
+    pivots: list[int] = []
+    for pr in range(len(rows)):
+        top = max(rows[pr:])
+        if not top:
+            break
+        bit = 1 << (top.bit_length() - 1)
+        r = rows.index(top, pr)
+        rows[r] = rows[pr]
+        rows = [x ^ top if x & bit else x for x in rows]
+        rows[pr] = top
+        pivots.append(n - top.bit_length())
+    fmt = f"0{n}b"
+    return [tuple(format(x, fmt).encode().translate(_FROM_BITS)) if n else () for x in rows], pivots
+
+
+def _product_gf2(A: Matrix, B: Matrix) -> list[list[int]]:
+    """GF(2) product: each entry is the parity of a row AND a column."""
+    cols = _pack(zip(*B.rows)) if B.rows else [0] * B.ncols
+    return [[(a & c).bit_count() & 1 for c in cols] for a in _pack(A.rows)]
+
+
+class _ArrayField:
+    """F's arithmetic on int64 arrays: products through the log/antilog tables,
+    differences by XOR (characteristic 2), mod p (prime fields) or Zech
+    logarithms (odd extension fields; every table has q entries)."""
+
+    def __init__(self, F: GF):
+        self.p, self.m, self.q1 = F.p, F.m, F.q - 1
+        self.exp = np.array(F._exp, dtype=np.int64)
+        self.log = np.array(F._log, dtype=np.int64)
+        if F.p != 2 and F.m > 1:
+            self.half = half = self.q1 // 2  # alpha^half = -1: 1 + alpha^half has no log
+            self.zech = np.array([F._log[F.add(1, F._exp[d])] if d != half else 0
+                                  for d in range(self.q1)], dtype=np.int64)
+
+    def scale(self, row, s: int):
+        """row * s for a nonzero scalar s."""
+        return np.where(row == 0, 0, self.exp[self.log[row] + self.log[s]])
+
+    def sub_outer(self, a, f, P):
+        """a - f ⊗ P for a column f of nonzero scalars and a row P."""
+        if self.p == 2 or self.m == 1:
+            fP = np.where(P == 0, 0, self.exp[self.log[f][:, None] + self.log[P]])
+            return a ^ fP if self.p == 2 else (a - fP) % self.p
+        # a + (-f) ⊗ P by Zech logarithms: x + y = x * (1 + y/x)
+        ly = ((self.log[f] + self.half) % self.q1)[:, None] + self.log[P]
+        lx = self.log[a]
+        d = (ly - lx) % self.q1
+        s = np.where(d == self.half, 0, self.exp[lx + self.zech[d]])
+        return np.where(P == 0, a, np.where(a == 0, self.exp[ly], s))
+
+
+@lru_cache(maxsize=None)
+def _array_field(F: GF) -> _ArrayField:
+    return _ArrayField(F)
+
+
+def _rref_numpy(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """RREF on an int64 array; each pivot updates only the rows it has to clear."""
+    F, ops = M.field, _array_field(M.field)
+    A = M.to_numpy()
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(M.ncols):
+        if pr == M.nrows:
+            break
+        below = np.flatnonzero(A[pr:, pc])
+        if not below.size:
+            continue
+        r = pr + int(below[0])
+        if r != pr:
+            A[[pr, r]] = A[[r, pr]]
+        inv = F.inv(int(A[pr, pc]))
+        if inv != 1:
+            A[pr, pc:] = ops.scale(A[pr, pc:], inv)
+        hit = np.flatnonzero(A[:, pc])
+        hit = hit[hit != pr]
+        if hit.size:
+            # columns before pc of the pivot row are zero
+            A[hit, pc:] = ops.sub_outer(A[hit, pc:], A[hit, pc], A[pr, pc:])
+        pivots.append(pc)
+        pr += 1
+    return A.tolist(), pivots
+
+
+def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
+    """One integer matmul mod p: each entry of A becomes the m x m GF(p)-matrix
+    of multiplication by it (column v holds the digits of a * x^v, read from
+    the log/antilog tables), and each entry of B its m digits."""
+    F, ops = A.field, _array_field(A.field)
+    p, m = F.p, F.m
+    radix = p ** np.arange(m)
+    a, b = A.to_numpy(), B.to_numpy()
+    shifted = np.where(a[..., None] == 0, 0, ops.exp[ops.log[a][..., None] + np.arange(m)])
+    a = (shifted[..., None] // radix % p).transpose(0, 3, 1, 2).reshape(A.nrows * m, A.ncols * m)
+    b = (b[..., None] // radix % p).transpose(0, 2, 1).reshape(B.nrows * m, B.ncols)
+    c = (a @ b % p).reshape(A.nrows, m, B.ncols)  # exact: each sum is below k·m·p² < 2^63
+    return (c * radix[:, None]).sum(axis=1).tolist()
+
+
+class _Kernel(NamedTuple):
+    rref: Callable[[Matrix], tuple[list, list[int]]]
+    product: Callable[[Matrix, Matrix], list]
+
+
+_GF2_KERNEL = _Kernel(_rref_gf2, _product_gf2)
+_NUMPY_KERNEL = _Kernel(_rref_numpy, _product_numpy)
+_LOOP_KERNEL = _Kernel(_rref_loop, _product_loop)
+
+
+def _kernel(F: GF, entries: int) -> _Kernel:
+    """Bitmask rows over GF(2); numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
+    if F.q == 2:
+        return _GF2_KERNEL
+    return _NUMPY_KERNEL if entries >= _NUMPY_MIN_ENTRIES else _LOOP_KERNEL
+
+
+def _rref_rows(M: Matrix) -> tuple[list, list[int]]:
+    return _kernel(M.field, M.nrows * M.ncols).rref(M)
 
 
 def rref(M: Matrix) -> Matrix:
@@ -166,7 +323,8 @@ def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
     F = M.field
     if F.q != q0 * q0:
         raise ValueError(f"field of size {F.q} is not GF({q0}^2)")
-    return Matrix(F, tuple(tuple(F.pow(e, q0) for e in r) for r in M.rows), M.ncols)
+    frob = {e: F.pow(e, q0) for e in set(chain.from_iterable(M.rows))}
+    return Matrix(F, tuple(tuple(map(frob.__getitem__, r)) for r in M.rows), M.ncols)
 
 
 def conj_transpose_q(M: Matrix, q0: int) -> Matrix:

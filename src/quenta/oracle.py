@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from . import constructions as cons
@@ -23,11 +23,11 @@ from .code import (
     cyclic_code,
     frobenius_entrywise,
     hermitian_dual_code,
-    intersection_dim_matrices,
     _min_weight,
     min_distance_exhaustive,
     product,
     rank,
+    stack,
     transpose,
 )
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, combine_min
@@ -42,10 +42,13 @@ from .defset import (
     is_lcd_euclidean,
     is_lcd_hermitian,
 )
-from .gf import field_create, prime_power, splitting_field
+from .gf import GF, field_create, prime_power, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
 RELATIVE_DISTANCE_CAP = 1 << 10
+# distinct cyclic codes kept with their distances: every euclid-pair grid over
+# GF(2) up to n = 31 (128 codes) fits, so its inner loop over Z2 never misses
+_CODE_MEMO_SIZE = 128
 
 SKIPPED = "skipped_cap"
 LOWER_OK = "lower_bound_ok"
@@ -93,7 +96,8 @@ def entanglement_rank_euclid(C1: LinearCode, C2: LinearCode) -> int:
     if C1.field != C2.field or C1.n != C2.n:
         raise ValueError("codes must share field and length")
     r = rank(product(C1.H, transpose(C2.H)))
-    identity = C1.H.nrows - intersection_dim_matrices(C1.H, C2.G)
+    # H1 and G2 are full row rank (LinearCode checked it): only the stack needs ranking
+    identity = rank(stack(C1.H, C2.G)) - C2.G.nrows
     if r != identity:
         raise AssertionError(f"rank {r} != dimension identity {identity}")
     return r
@@ -103,7 +107,7 @@ def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
     """rk(H H*), cross-checked against dim of the Hermitian dual minus the hull."""
     r = rank(product(C.H, conj_transpose_q(C.H, q0)))
     dual = hermitian_dual_code(C, q0)
-    identity = dual.G.nrows - intersection_dim_matrices(dual.G, C.G)
+    identity = rank(stack(dual.G, C.G)) - C.G.nrows
     if r != identity:
         raise AssertionError(f"rank {r} != dimension identity {identity}")
     return r
@@ -140,6 +144,14 @@ def _code_distance(C: LinearCode, Z: DefiningSet, distance_cap: int):
         return min_distance_exhaustive(C, distance_cap), EXACT
     except EnumerationCapError:
         return bch_bound(Z), LOWER_BOUND
+
+
+@lru_cache(maxsize=_CODE_MEMO_SIZE)
+def _measured_cyclic_code(Z: DefiningSet, base: GF, ext: GF, distance_cap: int):
+    """(code, (distance, kind)) of the cyclic code of Z, built and measured once
+    per key: a sweep's pairs and instances share few distinct codes."""
+    C = cyclic_code(Z, base, ext)
+    return C, _code_distance(C, Z, distance_cap)
 
 
 def _d_row(p: QuentaParams, measured, measured_kind) -> ReportRow:
@@ -208,8 +220,8 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
         return _skip_all(p, skip_names, reason)
     base, ext = made
 
-    C1 = cyclic_code(Z1, base, ext)
-    C2 = C1 if Z2 == Z1 else cyclic_code(Z2, base, ext)
+    C1, d1 = _measured_cyclic_code(Z1, base, ext, distance_cap)
+    C2, d2 = _measured_cyclic_code(Z2, base, ext, distance_cap)
     c_rank = entanglement_rank_euclid(C1, C2)
     # entanglement_rank_euclid asserted c = dim C1-dual - this intersection (the hull if LCD)
     inter = C1.H.nrows - c_rank
@@ -220,8 +232,6 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
     ]
     if lcd:
         rows.append(_exact_row("hull", 0, inter))
-    d1 = _code_distance(C1, Z1, distance_cap)
-    d2 = d1 if C2 is C1 else _code_distance(C2, Z2, distance_cap)
     rows.append(_d_row(p, *combine_min([d1, d2])))
 
     notes = []
@@ -255,7 +265,7 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
         return _skip_all(p, skip_names, reason)
     base, ext = made
 
-    C = cyclic_code(Z, base, ext)
+    C, d = _measured_cyclic_code(Z, base, ext, distance_cap)
     c_rank = entanglement_rank_hermitian(C, q0)
     # entanglement_rank_hermitian asserted c = dim Hermitian dual (n - k) - this hull
     hull = n - C.k - c_rank
@@ -266,7 +276,7 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
     ]
     if lcd:
         rows.append(_exact_row("hull", 0, hull))
-    rows.append(_d_row(p, *_code_distance(C, Z, distance_cap)))
+    rows.append(_d_row(p, *d))
 
     notes = []
     rel = relative_min_weight(C, frobenius_entrywise(C.G, q0))

@@ -26,11 +26,13 @@ from quenta.code import (
     min_distance_exhaustive,
     product,
     rank,
+    row_space_basis,
     rref,
     stack,
     transpose,
     zero_matrix,
 )
+from quenta.constructions import bch_hermit
 from quenta.defset import (
     bch_bound,
     coset_closed_subsets as closed_subsets,
@@ -287,6 +289,85 @@ def test_heaviest_gf4_enumeration_budget():
     t0 = time.perf_counter()
     assert min_distance_exhaustive(C) == 2
     assert time.perf_counter() - t0 < 1.0
+
+
+# fields of every kernel shape: GF(2) bitmasks; characteristic 2, prime and
+# odd extension fields on the numpy path (GF(2^10) and GF(3^6) exceed the
+# size of the flat addition tables)
+_KERNEL_FIELDS = (F2, F3, F4, F7, F9, field_create(2, 10), field_create(3, 6))
+
+
+@st.composite
+def field_matrix(draw, F, nrows, ncols):
+    """Sparse or dense free rows, then dependent rows (copies, multiples, sums);
+    with no free row the matrix is zero."""
+    rng = draw(st.randoms(use_true_random=True))
+    density = rng.choice([0.2, 0.5, 0.8, 1.0])
+    free = nrows - draw(st.integers(0, nrows))
+    rows = [[rng.randrange(1, F.q) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(free)]
+    while len(rows) < nrows:
+        x, y = (rng.choice(rows or [[0] * ncols]) for _ in range(2))
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        rows.append([F.add(F.mul(a, u), F.mul(b, v)) for u, v in zip(x, y)])
+    rng.shuffle(rows)
+    return matrix(F, rows, ncols)
+
+
+@st.composite
+def kernel_case(draw):
+    """(M, B) with M·B defined; shapes on both sides of _NUMPY_MIN_ENTRIES."""
+    F = draw(st.sampled_from(_KERNEL_FIELDS))
+    nrows, ncols, bcols = (draw(st.integers(0, 24)) for _ in range(3))
+    return draw(field_matrix(F, nrows, ncols)), draw(field_matrix(F, ncols, bcols))
+
+
+def _bch_hermit_stack():
+    """The 80 x 80 GF(9) stack [Hermitian dual G; G] that bch-hermit --q 3 ranks."""
+    Z = bch_hermit(3, 4).defset_named("Z")
+    C = cyclic_code(Z, F9, splitting_field(9, 80))
+    return stack(hermitian_dual_code(C, 3).G, C.G)
+
+
+def _on_kernel(kernel, M, B):
+    """rref, rank, row-space basis, kernel basis and product, all on one kernel."""
+    with mock.patch.object(code_module, "_kernel", lambda F, entries: kernel):
+        return _kernel_outputs(M, B)
+
+
+def _kernel_outputs(M, B):
+    return (rref(M).rows, rank(M), row_space_basis(M).rows, kernel_basis(M).rows,
+            product(M, B).rows)
+
+
+_STACK = _bch_hermit_stack()
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(kernel_case())
+@example((_STACK, transpose(_STACK)))
+def test_kernels_match_reference_loop(case):
+    M, B = case
+    expected = _on_kernel(code_module._LOOP_KERNEL, M, B)
+    got = [_kernel_outputs(M, B), _on_kernel(code_module._NUMPY_KERNEL, M, B)]
+    if M.field.q == 2:
+        got.append(_on_kernel(code_module._GF2_KERNEL, M, B))
+    for outputs in got:
+        assert outputs == expected
+        rows, r, basis, kernel, prod = outputs
+        assert type(r) is int
+        assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
+
+
+def test_gf9_rank_budget():
+    # ten ranks at the size bch-hermit --q 3 reduces: 80 x 80 over GF(9)
+    rng = random.Random(9)
+    stacks = [matrix(F9, [[rng.randrange(9) for _ in range(80)] for _ in range(80)])
+              for _ in range(10)]
+    t0 = time.perf_counter()
+    ranks = [rank(M) for M in stacks]
+    assert time.perf_counter() - t0 < 0.5
+    assert ranks[0] == len(code_module._rref_loop(stacks[0])[1])
 
 
 def test_code_from_rows_canonicalizes():

@@ -2,7 +2,7 @@ import pytest
 
 from quenta import constructions as cons
 from quenta import oracle
-from quenta.code import cyclic_code, matrix, zero_matrix
+from quenta.code import cyclic_code, matrix, min_distance_exhaustive, zero_matrix
 from quenta.defset import bch_bound, coset_closed_subsets, defset
 from quenta.gf import field_create, splitting_field
 from quenta.oracle import (
@@ -213,6 +213,20 @@ def test_euclid_pair_grid_bounds_each_subset_once(monkeypatch):
     grid = instances("euclid-pair", 2, n=15)
     assert len(calls) == len(list(coset_closed_subsets(15, 2)))
     assert len(grid) == len(calls) ** 2
+
+
+def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
+    built, measured = [], []
+    monkeypatch.setattr(oracle, "cyclic_code",
+                        lambda Z, base, ext: built.append(Z) or cyclic_code(Z, base, ext))
+    monkeypatch.setattr(oracle, "min_distance_exhaustive",
+                        lambda C, cap: measured.append(C.origin) or min_distance_exhaustive(C, cap))
+    oracle._measured_cyclic_code.cache_clear()
+    reports = sweep("euclid-pair", 2, n=7)
+    subsets = list(coset_closed_subsets(7, 2))
+    assert len(reports) == len(subsets) ** 2
+    assert len(built) == len(measured) == len(subsets)
+    assert set(built) == set(measured) == set(subsets)
 
 
 # ----------------------------------------------------------------------
