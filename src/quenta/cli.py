@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import sys
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from .config import load_config, apply_modulus_overrides
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
@@ -91,22 +90,75 @@ def _csv_cell(row: dict, col: str) -> str:
     return str(row[col])
 
 
-def _emit(rows: list[dict], fmt: str, out_path: str | None, single: bool = False) -> None:
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a value on a line that ``pad`` starts and indents.
+
+    Same bytes as the standard library for str-keyed dicts, and types
+    dispatch in its order.  With ``indent`` set the standard library falls
+    back to a pure-Python chunk generator and lists every chunk first.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # exact ints only: a bool must print as true/false
+            items = map(str, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write_json(value, out) -> None:
+    """Write ``json.dumps(value, indent=2) + "\n"``, a non-empty list one element at a time."""
+    if isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            out.write(("[" if i == 0 else ",") + "\n  " + _json(v, "\n  "))
+        out.write("\n]\n")
+    else:
+        out.write(_json(value) + "\n")
+
+
+def _write(rows: list[dict], fmt: str, out, single: bool) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([_csv_cell(row, col) for col in CSV_COLUMNS])
-        text = buf.getvalue()
     else:
-        payload = rows[0] if (single and rows) else rows
-        text = json.dumps(payload, indent=2) + "\n"
+        _write_json(rows[0] if single else rows, out)
+
+
+def _emit(rows: list[dict], fmt: str, out_path: str | None, single: bool = False) -> None:
+    """Stream already formed rows to ``out_path`` or stdout; ``single`` writes JSON rows[0] bare."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(rows, fmt, fh, single)
     else:
-        sys.stdout.write(text)
+        _write(rows, fmt, sys.stdout, single)
 
 
 # ----------------------------------------------------------------------
@@ -117,15 +169,12 @@ def cmd_cosets(args) -> int:
     part = coset_partition(args.n, args.q)
     cosets = [sorted(c.as_set()) for c in part.cosets]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("leader", "size", "elements"))
         for c in cosets:
             writer.writerow((c[0], len(c), ";".join(str(v) for v in c)))
-        sys.stdout.write(buf.getvalue())
     else:
-        sys.stdout.write(json.dumps({"n": args.n, "q": args.q, "cosets": cosets},
-                                    indent=2) + "\n")
+        _write_json({"n": args.n, "q": args.q, "cosets": cosets}, sys.stdout)
     return 0
 
 

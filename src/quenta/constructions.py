@@ -138,7 +138,7 @@ def euclid_pair(Z1: DefiningSet, Z2: DefiningSet, d1: int, d2: int,
             raise ValueError(f"{nm} is not closed under multiplication by {Z.q} mod {Z.n}")
     n, q = Z1.n, Z1.q
     k1, k2 = n - len(Z1), n - len(Z2)
-    t = len(euclidean_dual_defset(Z1).intersection(Z2))
+    t = len(euclidean_dual_defset(Z1).as_set() & Z2.as_set())
     d, d_kind = combine_min([(d1, d1_kind), (d2, d2_kind)])
     return _params(
         q, n, k1 - t, d, d_kind, n - k2 - t,

@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+# Distinct defining sets whose dual set and coset-closedness stay memoised.  A
+# euclid-pair grid pairs every subset with every other, so a grid of up to this
+# many subsets derives each once; euclid-pair over GF(2) at n = 31 has 128.
+_DEFSET_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -23,7 +29,7 @@ class DefiningSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"modulus n = {self.n} must be positive")
-        if any(not 0 <= e < self.n for e in self.elems):
+        if self.elems and not 0 <= min(self.elems) <= max(self.elems) < self.n:
             raise ValueError(f"elements outside [0, {self.n})")
         if tuple(sorted(set(self.elems))) != self.elems:
             raise ValueError("elements must be sorted and duplicate-free")
@@ -52,14 +58,19 @@ class DefiningSet:
         return defset(self.n, self.q, set(range(self.n)) - set(self.elems))
 
     def is_coset_closed(self) -> bool:
-        s = set(self.elems)
-        return all((i * self.q) % self.n in s for i in s)
+        return _is_coset_closed(self)
 
     def _check_compatible(self, other: DefiningSet):
         if self.n != other.n or self.q != other.q:
             raise ValueError(
                 f"modulus/base mismatch: (n={self.n}, q={self.q}) vs (n={other.n}, q={other.q})"
             )
+
+
+@lru_cache(maxsize=_DEFSET_MEMO_SIZE)
+def _is_coset_closed(Z: DefiningSet) -> bool:
+    s = set(Z.elems)
+    return {(i * Z.q) % Z.n for i in s} <= s
 
 
 def defset(n: int, q: int, elems) -> DefiningSet:
@@ -131,6 +142,7 @@ def coset_closed_subsets(n: int, q: int):
         yield defset(n, q, elems)
 
 
+@lru_cache(maxsize=_DEFSET_MEMO_SIZE)
 def euclidean_dual_defset(Z: DefiningSet) -> DefiningSet:
     """Z(C^dual) = Z_n minus the negation of Z mod n."""
     neg = {(-i) % Z.n for i in Z.elems}

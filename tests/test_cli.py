@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+import os
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quenta import gf
+from quenta import cli, gf
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
 from quenta.oracle import instances, verify_instance
@@ -224,6 +230,118 @@ def test_table_is_deterministic(capsys):
     _, first, _ = run(capsys, "table", "--family", "hermitian", "--q", "2", "--n", "5")
     _, second, _ = run(capsys, "table", "--family", "hermitian", "--q", "2", "--n", "5")
     assert first == second
+
+
+def _grid_flags(grid: dict) -> list[str]:
+    return [token for name, value in grid.items() for token in ("--" + name, str(value))]
+
+
+def _json_dumps_and_csv(rows: list[dict]) -> tuple[str, str]:
+    """The table as ``json.dumps(rows, indent=2)`` and as one buffered CSV text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([cli._csv_cell(row, col) for col in CSV_COLUMNS] for row in rows)
+    return json.dumps(rows, indent=2) + "\n", buf.getvalue()
+
+
+@pytest.mark.parametrize("family,grid", [case[:2] for case in _ROUND_TRIPS],
+                         ids=[case[0] for case in _ROUND_TRIPS])
+def test_table_output_matches_json_dumps_and_csv(capsys, family, grid):
+    want_json, want_csv = _json_dumps_and_csv([output_row(p) for p in instances(family, **grid)])
+    code, out, _ = run(capsys, "table", "--family", family, *_grid_flags(grid))
+    assert (code, out) == (0, want_json)
+    code, out, _ = run(capsys, "table", "--family", family, *_grid_flags(grid), "--format", "csv")
+    assert (code, out) == (0, want_csv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "rs-mds", "--q", "7"),
+    ("--family", "bch-hermit", "--q", "3", "--a-max", "1"),
+], ids=["rows", "empty"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_out_file_gets_stdout_bytes(tmp_path, capsys, argv, fmt):
+    code, want, _ = run(capsys, "table", *argv, "--format", fmt)
+    assert code == 0
+    target = tmp_path / f"table.{fmt}"
+    code, out, _ = run(capsys, "table", *argv, "--format", fmt, "--out", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_out_in_missing_directory_is_refused(tmp_path, capsys, fmt):
+    target = tmp_path / "missing" / "table.out"
+    code, out, err = run(capsys, "table", "--family", "rs-mds", "--q", "7",
+                         "--format", fmt, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert not target.parent.exists()
+
+
+def test_table_row_error_prints_nothing(tmp_path, capsys, monkeypatch):
+    def failing_row(p, report=None):
+        if p.input_named("k") == 3:  # the third of six rows
+            raise ValueError("row refused")
+        return output_row(p, report)
+
+    monkeypatch.setattr(cli, "output_row", failing_row)
+    target = tmp_path / "table.json"
+    code, out, err = run(capsys, "table", "--family", "rs-mds", "--q", "7")
+    assert (code, out, err) == (1, "", "error: row refused\n")
+    code, out, _ = run(capsys, "table", "--family", "rs-mds", "--q", "7", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert not target.exists()
+
+
+@pytest.fixture(scope="module")
+def grid_rows():
+    return [output_row(p) for p in instances("euclid-pair", 2, n=31)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_emission_memory_is_bounded(grid_rows, fmt):
+    # the rows are formed first; writing them must not build the output again in memory
+    assert len(grid_rows) == 16384
+    tracemalloc.start()
+    try:
+        cli._emit(grid_rows, fmt, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+# ----------------------------------------------------------------------
+# the JSON writer
+# ----------------------------------------------------------------------
+
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+_SCALARS = (st.none() | st.booleans() | _INTS | st.floats()
+            | st.text() | st.text(alphabet="\"\\/\x00\x1f\x7f\u00e9\u2028\U0001d11e\n\t "))
+# int lists take a joined fast path that must still print a bool as true/false
+_INT_LISTS = st.lists(_INTS) | st.tuples(st.lists(_INTS), st.booleans(), st.lists(_INTS)).map(
+    lambda parts: parts[0] + [parts[1]] + parts[2])
+_VALUES = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_VALUES)
+@example([1, True, 2])
+@example({"a": [], "b": {}, "c": [[1, 2], [False]], "\u00e9\"": float("nan")})
+@example([float("inf"), float("-inf"), -0.0, 1e300, -(2**70)])
+def test_json_writer_matches_json_dumps(value):
+    for v in (value, [value], [value, [value]]):
+        want = json.dumps(v, indent=2)
+        assert cli._json(v) == want
+        buf = io.StringIO()
+        cli._write_json(v, buf)
+        assert buf.getvalue() == want + "\n"
 
 
 # ----------------------------------------------------------------------

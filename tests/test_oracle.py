@@ -1,6 +1,7 @@
 import pytest
 
 from quenta import constructions as cons
+from quenta import defset as defset_module
 from quenta import oracle
 from quenta.code import cyclic_code, matrix, min_distance_exhaustive, zero_matrix
 from quenta.defset import bch_bound, coset_closed_subsets, defset
@@ -213,6 +214,18 @@ def test_euclid_pair_grid_bounds_each_subset_once(monkeypatch):
     grid = instances("euclid-pair", 2, n=15)
     assert len(calls) == len(list(coset_closed_subsets(15, 2)))
     assert len(grid) == len(calls) ** 2
+
+
+def test_euclid_pair_grid_derives_each_subset_once():
+    # each pair needs Z1's Euclidean dual and the closedness of Z1 and Z2
+    defset_module.euclidean_dual_defset.cache_clear()
+    defset_module._is_coset_closed.cache_clear()
+    grid = instances("euclid-pair", 2, n=31)
+    subsets = list(coset_closed_subsets(31, 2))
+    assert len(subsets) == 128
+    assert len(grid) == len(subsets) ** 2
+    assert defset_module.euclidean_dual_defset.cache_info().misses == len(subsets)
+    assert defset_module._is_coset_closed.cache_info().misses == len(subsets)
 
 
 def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
