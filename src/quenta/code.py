@@ -3,11 +3,11 @@
 Generator/parity-check pairs built from generator polynomials, exact
 rank/RREF/kernel computations and products, Euclidean and Hermitian duals,
 hull dimensions, and exhaustive minimum distance by meet-in-the-middle
-codeword enumeration.  Everything is exact.  Row reduction and products
-pick one kernel per field shape: int bitmask rows over GF(2), numpy arrays
-of int64 field elements for large matrices over other fields, and a
-per-entry Python loop for small ones.  numpy also carries XOR and digit-wise
-mod-p addition during enumeration.
+enumeration of one codeword per projective point.  Everything is exact.
+Row reduction and products pick one kernel per field shape: int bitmask rows
+over GF(2), numpy arrays of int64 field elements for large matrices over
+other fields, and a Python loop over log/antilog lists for small ones.  numpy
+also carries XOR and digit-wise mod-p addition during enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import xor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -102,50 +103,73 @@ def product(A: Matrix, B: Matrix) -> Matrix:
 
 # Matrices over fields other than GF(2) with at least this many entries (rows
 # x cols; for a product, either factor) go through numpy.  Below it numpy's
-# per-call cost outweighs the per-entry loop: on the GF(4) matrices of a
-# length-15 Hermitian sweep the loop reduces faster up to 200 entries and
-# ties at 225.
+# per-call cost outweighs the log-table loop: the loop wins on every GF(4)
+# matrix of a length-15 Hermitian sweep (all below 256 entries), and on the
+# GF(9) matrices of a length-26 one the two tie from 256 to 383 entries.
 _NUMPY_MIN_ENTRIES = 256
 
 
+@lru_cache(maxsize=None)
+def _log_tables(F: GF) -> tuple[list[int], list[int]]:
+    """(log, exp) lists of O(q) entries with exp[log[a] + log[b]] == a·b for
+    every a, b, zero included: log[0] lies past every sum of two nonzero logs,
+    and exp is 0 from there on."""
+    zero = 2 * (F.q - 1)
+    return [zero] + F._log[1:], F._exp[:zero] + [0] * (zero + 1)
+
+
 def _product_loop(A: Matrix, B: Matrix) -> list[list[int]]:
+    """Row by row; only the nonzero entries of A's row contribute."""
     F = A.field
-    Bt = tuple(zip(*B.rows)) if B.rows else ((),) * B.ncols
+    log, exp = _log_tables(F)
+    add = xor if F.p == 2 else F.add
+    cols = [[log[y] for y in c] for c in zip(*B.rows)] if B.rows else [[]] * B.ncols
     out = []
     for ar in A.rows:
+        terms = [(i, log[x]) for i, x in enumerate(ar) if x]
         row = []
-        for bc in Bt:
+        for c in cols:
             acc = 0
-            for x, y in zip(ar, bc):
-                if x and y:
-                    acc = F.add(acc, F.mul(x, y))
+            for i, lx in terms:
+                acc = add(acc, exp[lx + c[i]])
             row.append(acc)
         out.append(row)
     return out
 
 
 def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; deterministic first-nonzero row-major pivoting."""
+    """Reduced row echelon form; deterministic first-nonzero row-major pivoting.
+
+    The pivot row's logs are taken once per pivot; clearing a row adds the
+    pivot row times the negated factor (XOR in characteristic 2)."""
     F = M.field
+    log, exp = _log_tables(F)
+    q1, char2 = F.q - 1, F.p == 2
     rows = [list(r) for r in M.rows]
     pivots: list[int] = []
     pr = 0
     for pc in range(M.ncols):
-        pivot_row = None
         for r in range(pr, len(rows)):
-            if rows[r][pc] != 0:
-                pivot_row = r
+            if rows[r][pc]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = F.inv(rows[pr][pc])
-        if inv != 1:
-            rows[pr] = [F.mul(inv, e) for e in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [F.sub(e, F.mul(f, p)) for e, p in zip(rows[r], rows[pr])]
+        rows[pr], rows[r] = rows[r], rows[pr]
+        piv = rows[pr]
+        # columns before pc of the pivot row are zero
+        lp = [log[e] for e in piv[pc:]]
+        if lp[0]:
+            shift = q1 - lp[0]  # the log of the pivot's inverse
+            piv[pc:] = [exp[lx + shift] for lx in lp]
+            lp = [log[e] for e in piv[pc:]]
+        for row in rows:
+            if row[pc] and row is not piv:
+                if char2:
+                    lf = log[row[pc]]
+                    row[pc:] = [e ^ exp[lf + lx] for e, lx in zip(row[pc:], lp)]
+                else:
+                    lf = log[F.neg(row[pc])]
+                    row[pc:] = [F.add(e, exp[lf + lx]) for e, lx in zip(row[pc:], lp)]
         pivots.append(pc)
         pr += 1
         if pr == len(rows):
@@ -463,17 +487,34 @@ def _enumeration_ops(F: GF):
     return encode, add, m
 
 
+def _weigh(words, n: int, width: int, relative: bool, best: int) -> int:
+    """The least of best and the weights on the first n symbols of the words
+    (columns) that count: the nonzero ones, or with ``relative`` those whose
+    symbols past n are nonzero."""
+    nonzero = words != 0
+    if width > 1:
+        nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
+    weights = nonzero[:n].sum(axis=0, dtype=np.min_scalar_type(n + 1))
+    counted = nonzero[n:].any(axis=0) if relative else weights > 0
+    return int(weights.min(initial=best, where=counted))
+
+
 def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
     """Least weight on the first n columns of the words x·rows, x != 0.
 
     With ``relative``, only words whose columns past n (a syndrome tail) are
-    nonzero count.  Returns n + 1 when no word counts.  Meet in the middle:
-    the span of a low group of rows (at most _BLOCK words per block; a single
-    row over a larger field is split into blocks of its multiples) is added to
-    the words of the high group's span, as many at once as fill about _BLOCK
-    words, in one numpy operation, with early exit at weight 1.  Both spans
-    grow by one scaled row at a time.  Words are stored as columns, so a
-    weight is a sum over contiguous rows.
+    nonzero count.  Returns n + 1 when no word counts.  Scaling a word keeps
+    its weight and whether its tail is zero, so only the (q^k - 1)/(q - 1)
+    messages whose last nonzero coefficient is 1 (normalized) are weighed.
+    Meet in the middle: the span of a low group of rows (at most _BLOCK words
+    per block; a single row over a larger field is split into blocks of its
+    multiples) is added to the words of the high group's span, as many at
+    once as fill about _BLOCK words, in one numpy operation, with early exit
+    at weight 1.  A span grows by one row at a time in blocks of coefficient
+    1, 0, 2, ..., q - 1, so its normalized messages are a prefix followed by
+    the zero word.  Each normalized high word meets the whole low span, and
+    the zero high word, last, only the low prefix.  Words are stored as
+    columns, so a weight is a sum over contiguous rows.
     """
     if not rows:
         return n + 1
@@ -486,29 +527,32 @@ def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
     def multiples(row, scalars):
         return encode(np.array([[F.mul(a, e) for e in row] for a in scalars], dtype=np.int64)).T
 
-    def span(group):
+    def span(group, top=q):
+        """The span of group; its last row takes only the coefficients below top."""
         table = multiples(rows[0], [0])  # the zero word
-        for row in group:
-            scaled = multiples(row, range(1, q)).T
-            table = np.concatenate([table] + [add(table, s[:, None]) for s in scaled], axis=1)
+        for j, row in enumerate(group, 1):
+            scaled = multiples(row, range(1, q if j < len(group) else top)).T
+            blocks = [add(table, s[:, None]) for s in scaled]
+            table = np.concatenate(blocks[:1] + [table] + blocks[1:], axis=1)
         return table
 
     if q > _BLOCK:
-        lows = (multiples(rows[0], range(s, min(s + _BLOCK, q))) for s in range(0, q, _BLOCK))
+        order = [1, 0, *range(2, q)]
+        lows = ((multiples(rows[0], order[s:s + _BLOCK]), int(s == 0)) for s in range(0, q, _BLOCK))
     else:
-        lows = [span(rows[:k_lo])]
-    high = span(rows[k_lo:])
-    weight_t = np.min_scalar_type(n + 1)
+        lows = [(span(rows[:k_lo]), (q ** k_lo - 1) // (q - 1))]
+    # the normalized high words and the zero word lie in the last row's 1 and 0 blocks
+    high = span(rows[k_lo:], 2)
+    n_high = (q ** (len(rows) - k_lo) - 1) // (q - 1)
     best = n + 1
-    for low in lows:
+    for low, lead in lows:
+        stop = n_high + (lead > 0)
         step = max(1, _BLOCK // low.shape[1])
-        for i in range(0, high.shape[1], step):
-            nonzero = add(low[:, None, :], high[:, i:i + step, None]).reshape(len(low), -1) != 0
-            if width > 1:
-                nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
-            weights = nonzero[:n].sum(axis=0, dtype=weight_t)
-            counted = nonzero[n:].any(axis=0) if relative else weights > 0
-            best = int(weights.min(initial=best, where=counted))
+        for i in range(0, stop, step):
+            words = add(low[:, None, :], high[:, i:min(i + step, stop), None]).reshape(len(low), -1)
+            if lead and i + step >= stop:  # the zero high word meets only the low prefix
+                words = words[:, :words.shape[1] - low.shape[1] + lead]
+            best = _weigh(words, n, width, relative, best)
             if best == 1:
                 return best
     return best
@@ -517,8 +561,8 @@ def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
 def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """Exact minimum Hamming weight over all nonzero codewords.
 
-    Enumerates the full message space with the meet-in-the-middle kernel,
-    with early exit at weight 1.  The zero code reports n + 1.  Raises
+    Enumerates one message per projective point with the meet-in-the-middle
+    kernel, with early exit at weight 1.  The zero code reports n + 1.  Raises
     EnumerationCapError when q^k exceeds the cap so callers can fall back to
     bch_bound.
     """

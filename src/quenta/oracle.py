@@ -154,6 +154,15 @@ def _measured_cyclic_code(Z: DefiningSet, base: GF, ext: GF, distance_cap: int):
     return C, _code_distance(C, Z, distance_cap)
 
 
+@lru_cache(maxsize=_CODE_MEMO_SIZE ** 2)
+def _relative_weight(Z1: DefiningSet, Z2: DefiningSet, base: GF, ext: GF, distance_cap: int):
+    """relative_min_weight(C1, C2.G) for the memoised codes of Z1 and Z2: a pair
+    sweep needs it at (Z1, Z2) and again, as the second weight, at (Z2, Z1)."""
+    C1 = _measured_cyclic_code(Z1, base, ext, distance_cap)[0]
+    C2 = _measured_cyclic_code(Z2, base, ext, distance_cap)[0]
+    return relative_min_weight(C1, C2.G)
+
+
 def _d_row(p: QuentaParams, measured, measured_kind) -> ReportRow:
     if p.d_kind == EXACT:
         if measured_kind == EXACT:
@@ -235,8 +244,8 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
     rows.append(_d_row(p, *combine_min([d1, d2])))
 
     notes = []
-    rel1 = relative_min_weight(C1, C2.G)
-    rel2 = rel1 if C2 is C1 else relative_min_weight(C2, C1.G)
+    rel1 = _relative_weight(Z1, Z2, base, ext, distance_cap)
+    rel2 = _relative_weight(Z2, Z1, base, ext, distance_cap)
     if "capped" in (rel1, rel2):
         notes.append(_relative_capped_note(C1 if C1.k >= C2.k else C2))
     else:

@@ -47,8 +47,11 @@ from quenta.oracle import relative_min_weight
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
 F4 = field_create(2, 2)
+F5 = field_create(5, 1)
 F7 = field_create(7, 1)
+F8 = field_create(2, 3)
 F9 = field_create(3, 2)
+F16 = field_create(2, 4)
 
 
 def test_matrix_validation():
@@ -241,7 +244,8 @@ def _dot(F, u, v):
 # q -> largest k drawn, so the reference loop stays fast (one k = 2 code over
 # GF(3^6) takes it seconds); small block sizes send these codes through the
 # split into low and high groups and the chunked multiples of one row
-_DIFF_FIELDS = {F2: 8, F3: 5, F4: 4, F7: 3, F9: 3, field_create(3, 6): 1}
+_DIFF_FIELDS = {F2: 8, F3: 5, F4: 4, F5: 4, F7: 3, F8: 3, F9: 3, F16: 2,
+                field_create(3, 6): 1}
 
 
 @st.composite
@@ -291,10 +295,97 @@ def test_heaviest_gf4_enumeration_budget():
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("block", [code_module._BLOCK, 16])
+def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, block):
+    counted = [0]
+    weigh = code_module._weigh
+
+    def counting(words, *args):
+        counted[0] += words.shape[1]
+        return weigh(words, *args)
+
+    monkeypatch.setattr(code_module, "_weigh", counting)
+    monkeypatch.setattr(code_module, "_BLOCK", block)
+    C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
+    assert min_distance_exhaustive(C) == 2
+    assert counted[0] == (4 ** 11 - 1) // 3 == 1_398_101
+    # over GF(2) every nonzero message is normalized: the [15, 11] Hamming code
+    # (d = 3, so no early exit) weighs all of them and no zero message
+    counted[0] = 0
+    C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
+    assert (C.k, min_distance_exhaustive(C)) == (11, 3)
+    assert counted[0] == 2 ** 11 - 1
+    # the RS [13, 2, 12] over GF(27); at block 16 its first row is split into
+    # chunks of its multiples, and only 1 times it meets the zero high word
+    counted[0] = 0
+    F27 = field_create(3, 3)
+    C = cyclic_code(defset(13, 27, range(1, 12)), F27, F27)
+    assert (C.k, min_distance_exhaustive(C)) == (2, 12)
+    assert counted[0] == 27 + 1
+
+
+def reference_product(A, B):
+    """The product by per-entry field multiplication; the kernels' reference."""
+    F = A.field
+    Bt = tuple(zip(*B.rows)) if B.rows else ((),) * B.ncols
+    out = []
+    for ar in A.rows:
+        row = []
+        for bc in Bt:
+            acc = 0
+            for x, y in zip(ar, bc):
+                if x and y:
+                    acc = F.add(acc, F.mul(x, y))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_rref(M):
+    """RREF by per-entry field arithmetic, first-nonzero row-major pivoting;
+    the kernels' reference."""
+    F = M.field
+    rows = [list(r) for r in M.rows]
+    pivots = []
+    pr = 0
+    for pc in range(M.ncols):
+        pivot_row = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = F.inv(rows[pr][pc])
+        if inv != 1:
+            rows[pr] = [F.mul(inv, e) for e in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [F.sub(e, F.mul(f, p)) for e, p in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+_REFERENCE_KERNEL = code_module._Kernel(reference_rref, reference_product)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F5, F8, F9, F16, field_create(3, 3)])
+def test_log_tables_multiply_with_zero(F):
+    log, exp = code_module._log_tables(F)
+    assert len(log) == F.q and len(exp) <= 4 * F.q
+    for a in range(F.q):
+        assert [exp[log[a] + log[b]] for b in range(F.q)] == [F.mul(a, b) for b in range(F.q)]
+
+
 # fields of every kernel shape: GF(2) bitmasks; characteristic 2, prime and
 # odd extension fields on the numpy path (GF(2^10) and GF(3^6) exceed the
 # size of the flat addition tables)
-_KERNEL_FIELDS = (F2, F3, F4, F7, F9, field_create(2, 10), field_create(3, 6))
+_KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 10), field_create(3, 6))
 
 
 @st.composite
@@ -348,8 +439,9 @@ _STACK = _bch_hermit_stack()
 @example((_STACK, transpose(_STACK)))
 def test_kernels_match_reference_loop(case):
     M, B = case
-    expected = _on_kernel(code_module._LOOP_KERNEL, M, B)
-    got = [_kernel_outputs(M, B), _on_kernel(code_module._NUMPY_KERNEL, M, B)]
+    expected = _on_kernel(_REFERENCE_KERNEL, M, B)
+    got = [_kernel_outputs(M, B), _on_kernel(code_module._LOOP_KERNEL, M, B),
+           _on_kernel(code_module._NUMPY_KERNEL, M, B)]
     if M.field.q == 2:
         got.append(_on_kernel(code_module._GF2_KERNEL, M, B))
     for outputs in got:
@@ -367,7 +459,7 @@ def test_gf9_rank_budget():
     t0 = time.perf_counter()
     ranks = [rank(M) for M in stacks]
     assert time.perf_counter() - t0 < 0.5
-    assert ranks[0] == len(code_module._rref_loop(stacks[0])[1])
+    assert ranks[0] == len(reference_rref(stacks[0])[1])
 
 
 def test_code_from_rows_canonicalizes():
