@@ -78,16 +78,14 @@ def output_row(p: QuentaParams, report: VerificationReport | None = None) -> dic
     return row
 
 
-def _csv_cell(row: dict, col: str) -> str:
-    if col == "inputs":
-        return " ".join(f"{name}={_flat(v)}" for name, v in row["inputs"].items())
-    if col == "warnings":
-        return " | ".join(row["warnings"])
-    if col == "verification":
-        if "verification" not in row:
-            return ""
-        return "pass" if row["verification"]["passed"] else "fail"
-    return str(row[col])
+def _csv_row(row: dict) -> list[str]:
+    """The CSV_COLUMNS cells of a row: its last three columns are inputs, warnings, verification."""
+    check = row.get("verification")
+    return [str(row[col]) for col in CSV_COLUMNS[:-3]] + [
+        " ".join(f"{name}={_flat(v)}" for name, v in row["inputs"].items()),
+        " | ".join(row["warnings"]),
+        "" if check is None else "pass" if check["passed"] else "fail",
+    ]
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -147,7 +145,7 @@ def _write(rows: list[dict], fmt: str, out, single: bool) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_csv_cell(row, col) for col in CSV_COLUMNS])
+            writer.writerow(_csv_row(row))
     else:
         _write_json(rows[0] if single else rows, out)
 

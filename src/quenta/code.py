@@ -57,9 +57,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
@@ -109,19 +106,10 @@ def product(A: Matrix, B: Matrix) -> Matrix:
 _NUMPY_MIN_ENTRIES = 256
 
 
-@lru_cache(maxsize=None)
-def _log_tables(F: GF) -> tuple[list[int], list[int]]:
-    """(log, exp) lists of O(q) entries with exp[log[a] + log[b]] == a·b for
-    every a, b, zero included: log[0] lies past every sum of two nonzero logs,
-    and exp is 0 from there on."""
-    zero = 2 * (F.q - 1)
-    return [zero] + F._log[1:], F._exp[:zero] + [0] * (zero + 1)
-
-
 def _product_loop(A: Matrix, B: Matrix) -> list[list[int]]:
     """Row by row; only the nonzero entries of A's row contribute."""
     F = A.field
-    log, exp = _log_tables(F)
+    log, exp = F._log, F._exp
     add = xor if F.p == 2 else F.add
     cols = [[log[y] for y in c] for c in zip(*B.rows)] if B.rows else [[]] * B.ncols
     out = []
@@ -143,7 +131,7 @@ def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
     The pivot row's logs are taken once per pivot; clearing a row adds the
     pivot row times the negated factor (XOR in characteristic 2)."""
     F = M.field
-    log, exp = _log_tables(F)
+    log, exp = F._log, F._exp
     q1, char2 = F.q - 1, F.p == 2
     rows = [list(r) for r in M.rows]
     pivots: list[int] = []
@@ -212,33 +200,31 @@ def _product_gf2(A: Matrix, B: Matrix) -> list[list[int]]:
 
 
 class _ArrayField:
-    """F's arithmetic on int64 arrays: products through the log/antilog tables,
-    differences by XOR (characteristic 2), mod p (prime fields) or Zech
-    logarithms (odd extension fields; every table has q entries)."""
+    """F's arithmetic on int64 arrays of F's own tables: products through the
+    log/antilog lists, differences by XOR (characteristic 2), mod p (prime
+    fields) or Zech logarithms (odd extension fields)."""
 
     def __init__(self, F: GF):
         self.p, self.m, self.q1 = F.p, F.m, F.q - 1
         self.exp = np.array(F._exp, dtype=np.int64)
         self.log = np.array(F._log, dtype=np.int64)
         if F.p != 2 and F.m > 1:
-            self.half = half = self.q1 // 2  # alpha^half = -1: 1 + alpha^half has no log
-            self.zech = np.array([F._log[F.add(1, F._exp[d])] if d != half else 0
-                                  for d in range(self.q1)], dtype=np.int64)
+            self.half = self.q1 // 2  # alpha^half = -1
+            self.zech = np.array(F._zech, dtype=np.int64)
 
     def scale(self, row, s: int):
         """row * s for a nonzero scalar s."""
-        return np.where(row == 0, 0, self.exp[self.log[row] + self.log[s]])
+        return self.exp[self.log[row] + self.log[s]]
 
     def sub_outer(self, a, f, P):
         """a - f ⊗ P for a column f of nonzero scalars and a row P."""
         if self.p == 2 or self.m == 1:
-            fP = np.where(P == 0, 0, self.exp[self.log[f][:, None] + self.log[P]])
+            fP = self.exp[self.log[f][:, None] + self.log[P]]
             return a ^ fP if self.p == 2 else (a - fP) % self.p
         # a + (-f) ⊗ P by Zech logarithms: x + y = x * (1 + y/x)
         ly = ((self.log[f] + self.half) % self.q1)[:, None] + self.log[P]
         lx = self.log[a]
-        d = (ly - lx) % self.q1
-        s = np.where(d == self.half, 0, self.exp[lx + self.zech[d]])
+        s = self.exp[lx + self.zech[(ly - lx) % self.q1]]
         return np.where(P == 0, a, np.where(a == 0, self.exp[ly], s))
 
 
@@ -283,7 +269,7 @@ def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
     p, m = F.p, F.m
     radix = p ** np.arange(m)
     a, b = A.to_numpy(), B.to_numpy()
-    shifted = np.where(a[..., None] == 0, 0, ops.exp[ops.log[a][..., None] + np.arange(m)])
+    shifted = ops.exp[ops.log[a][..., None] + np.arange(m)]
     a = (shifted[..., None] // radix % p).transpose(0, 3, 1, 2).reshape(A.nrows * m, A.ncols * m)
     b = (b[..., None] // radix % p).transpose(0, 2, 1).reshape(B.nrows * m, B.ncols)
     c = (a @ b % p).reshape(A.nrows, m, B.ncols)  # exact: each sum is below k·m·p² < 2^63
@@ -423,9 +409,9 @@ def dual_code(C: LinearCode) -> LinearCode:
 
 
 def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
-    """{x : x . c^q0 = 0 for all c in C} over GF(q0^2)."""
-    Gh = kernel_basis(frobenius_entrywise(C.G, q0))
-    return LinearCode(C.field, C.n, Gh, kernel_basis(Gh), None)
+    """{x : x . c^q0 = 0 for all c in C} over GF(q0^2); its parity check is C's G^q0."""
+    Gf = frobenius_entrywise(C.G, q0)
+    return LinearCode(C.field, C.n, kernel_basis(Gf), Gf, None)
 
 
 def intersection_dim_matrices(A: Matrix, B: Matrix) -> int:

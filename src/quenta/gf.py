@@ -4,13 +4,16 @@ Elements are plain ints in [0, q).  The base-p digits of an element are the
 coefficients of its polynomial representation over GF(p), constant term in
 the least significant digit.  Each field owns log/antilog tables built from
 a primitive modulus, so multiplication, inversion and powering are table
-lookups; addition is XOR for p = 2 and digit-wise otherwise.
+lookups; addition is XOR for p = 2, mod p for prime fields and by Zech
+logarithms otherwise.  log(0) is a sentinel past every sum of two nonzero
+logs, so exp[log a + log b] == a·b holds for zero too.
 
 The modulus for (p, m) is chosen deterministically: the first monic degree-m
 polynomial, scanning coefficient vectors from the smallest integer encoding
-upward, that is irreducible over GF(p) and whose residue class of x
-generates the full multiplicative group.  A process-wide override registry
-lets a config file substitute a different (validated) modulus per (p, m).
+upward, whose residue class of x generates the full multiplicative group
+(such a polynomial is irreducible over GF(p)).  A process-wide override
+registry lets a config file substitute a different (validated) modulus per
+(p, m).
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ MAX_ORDER = 1 << 20
 # Degree 12 admits the splitting fields GF(2^10) and GF(2^12) that the
 # length <= 15 binary duality sweeps require; the order cap still rules.
 MAX_DEGREE = 12
-
-# Flat q*q addition tables are only built for small fields; larger extension
-# fields fall back to digit-wise addition.
-_ADD_TABLE_LIMIT = 512
 
 _modulus_overrides: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -101,35 +100,22 @@ def _ppowmod(a, e, g, p):
     return result
 
 
-def _is_irreducible(coeffs, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    m = _pdeg(coeffs)
-    if m <= 0:
-        return False
-    if m == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    for d in range(1, m // 2 + 1):
-        for enc in range(p ** d):
-            div = _digits(enc, p, d) + [1]
-            if _pdeg(_pmod(coeffs, div, p)) < 0:
-                return False
-    return True
+def _is_one(r) -> bool:
+    return _pdeg(r) == 0 and r[0] == 1
 
 
 def _is_primitive(coeffs, p: int) -> bool:
-    """True if the residue class of x has multiplicative order p^deg - 1."""
+    """True if the residue class of x has multiplicative order p^deg - 1.
+
+    Such a modulus is irreducible: modulo a reducible one fewer than p^deg - 1
+    residues are units, and x is none of them when the constant term is 0.
+    """
     m = _pdeg(coeffs)
     order = p ** m - 1
     x = [0, 1]
-    if _pdeg(_ppowmod(x, order, coeffs, p)) != 0 or _ppowmod(x, order, coeffs, p)[0] != 1:
+    if m < 1 or not _is_one(_ppowmod(x, order, coeffs, p)):
         return False
-    for ell in _prime_factors(order):
-        r = _ppowmod(x, order // ell, coeffs, p)
-        if _pdeg(r) == 0 and r[0] == 1:
-            return False
-    return True
+    return not any(_is_one(_ppowmod(x, order // ell, coeffs, p)) for ell in _prime_factors(order))
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -143,7 +129,7 @@ def _digits(value: int, p: int, width: int) -> list[int]:
 def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     for enc in range(p ** m):
         coeffs = _digits(enc, p, m) + [1]
-        if _is_irreducible(coeffs, p) and _is_primitive(coeffs, p):
+        if _is_primitive(coeffs, p):
             return tuple(coeffs)
     raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")
 
@@ -172,10 +158,8 @@ class GF:
             raise ValueError(f"modulus must be monic of degree {m}")
         if any(not 0 <= c < p for c in self.modulus):
             raise ValueError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(list(self.modulus), p):
-            raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
         if not _is_primitive(list(self.modulus), p):
-            raise ValueError(f"modulus {self.modulus} is not primitive")
+            raise ValueError(f"modulus {self.modulus} is reducible or not primitive over GF({p})")
         self._build_tables()
 
     @property
@@ -197,26 +181,29 @@ class GF:
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
-        # reduction of x^m expressed as an element value
+        q1 = q - 1
+        # reduction of top·x^m expressed as an element value, for each digit top
         red = 0
         for i in range(m):
             red += ((-self.modulus[i]) % p) * p ** i
-        self._exp = exp = [0] * (2 * q)
-        self._log = log = [0] * q
+        reds = [self._digit_scale(red, top) for top in range(p)]
+        hi = p ** (m - 1)
+        # exp is the antilog list twice over, then 0 up to index 4(q - 1);
+        # log(0) = 2(q - 1) lies past every sum of two nonzero logs
+        self._exp = exp = [0] * (4 * q1 + 1)
+        self._log = log = [2 * q1] * q
         val = 1
-        for i in range(q - 1):
-            exp[i] = val
+        for i in range(q1):
+            exp[i] = exp[i + q1] = val
             log[val] = i
             # multiply by alpha = x: shift digits, reduce once
-            top, low = divmod(val, p ** (m - 1))
+            top, low = divmod(val, hi)
             val = low * p
             if top:
-                val = self._digit_add(val, self._digit_scale(red, top))
+                val = self._digit_add(val, reds[top])
         if val != 1:
-            raise ValueError(f"modulus {self.modulus} residue order is not {q - 1}")
-        for i in range(q - 1, 2 * q):
-            exp[i] = exp[i - (q - 1)]
-        self.alpha = exp[1] if q > 2 else 1
+            raise ValueError(f"modulus {self.modulus} residue order is not {q1}")
+        self.alpha = exp[1]
 
         if p == 2:
             self.add = lambda a, b: a ^ b
@@ -226,21 +213,25 @@ class GF:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: (-a) % p
-        elif q <= _ADD_TABLE_LIMIT:
-            tab = [0] * (q * q)
-            for a in range(q):
-                for b in range(a, q):
-                    s = self._digit_add(a, b)
-                    tab[a * q + b] = s
-                    tab[b * q + a] = s
-            self.add = lambda a, b: tab[a * q + b]
-            negs = [self._digit_scale(a, p - 1) for a in range(q)]
-            self.neg = lambda a: negs[a]
-            self.sub = lambda a, b: tab[a * q + negs[b]]
         else:
-            self.add = self._digit_add
-            self.neg = lambda a: self._digit_scale(a, p - 1)
-            self.sub = lambda a, b: self._digit_add(a, self.neg(b))
+            # Zech logarithms: a + b = a·(1 + b/a) with zech[d] = log(1 + alpha^d).
+            # Adding 1 changes only the constant digit.  alpha^half = -1, so
+            # zech[half] is log's zero sentinel.
+            half = q1 // 2
+            self._zech = zech = [log[e - e % p + (e + 1) % p] for e in exp[:q1]]
+
+            def add(a: int, b: int) -> int:
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                # a negative difference indexes from the end: its residue mod q - 1
+                return exp[la + zech[log[b] - la]]
+
+            self.add = add
+            self.neg = lambda a: exp[log[a] + half]
+            self.sub = lambda a, b: add(a, exp[log[b] + half])
 
     def _digit_add(self, a: int, b: int) -> int:
         p = self.p
@@ -268,8 +259,6 @@ class GF:
     # ------------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -318,22 +307,9 @@ class GF:
             raise ValueError(f"{n} does not divide q - 1 = {self.q - 1}")
         return self.pow(self.alpha, (self.q - 1) // n)
 
-    def elements(self):
-        return range(self.q)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of an element, constant term first."""
         return tuple(_digits(a, self.p, self.m))
-
-    def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        val = 0
-        for i, c in enumerate(coeffs):
-            if not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c} outside [0, {self.p})")
-            val += c * self.p ** i
-        return val
 
 
 @lru_cache(maxsize=None)

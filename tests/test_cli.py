@@ -236,12 +236,33 @@ def _grid_flags(grid: dict) -> list[str]:
     return [token for name, value in grid.items() for token in ("--" + name, str(value))]
 
 
+def _reference_csv_cell(row: dict, col: str) -> str:
+    """One CSV cell at a time, as the table's CSV was first formatted."""
+    if col == "inputs":
+        return " ".join(f"{name}={cli._flat(v)}" for name, v in row["inputs"].items())
+    if col == "warnings":
+        return " | ".join(row["warnings"])
+    if col == "verification":
+        if "verification" not in row:
+            return ""
+        return "pass" if row["verification"]["passed"] else "fail"
+    return str(row[col])
+
+
+def test_csv_row_matches_cell_reference():
+    row = output_row(next(iter(instances("hermitian", q=2, n=5))))
+    for extra in ({"warnings": ["w1", "w2"]}, {"verification": {"passed": True}},
+                  {"verification": {"passed": False}}):
+        r = dict(row, **extra)
+        assert cli._csv_row(r) == [_reference_csv_cell(r, col) for col in CSV_COLUMNS]
+
+
 def _json_dumps_and_csv(rows: list[dict]) -> tuple[str, str]:
     """The table as ``json.dumps(rows, indent=2)`` and as one buffered CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([cli._csv_cell(row, col) for col in CSV_COLUMNS] for row in rows)
+    writer.writerows([_reference_csv_cell(row, col) for col in CSV_COLUMNS] for row in rows)
     return json.dumps(rows, indent=2) + "\n", buf.getvalue()
 
 

@@ -376,15 +376,14 @@ _REFERENCE_KERNEL = code_module._Kernel(reference_rref, reference_product)
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F5, F8, F9, F16, field_create(3, 3)])
 def test_log_tables_multiply_with_zero(F):
-    log, exp = code_module._log_tables(F)
+    log, exp = F._log, F._exp
     assert len(log) == F.q and len(exp) <= 4 * F.q
     for a in range(F.q):
         assert [exp[log[a] + log[b]] for b in range(F.q)] == [F.mul(a, b) for b in range(F.q)]
 
 
 # fields of every kernel shape: GF(2) bitmasks; characteristic 2, prime and
-# odd extension fields on the numpy path (GF(2^10) and GF(3^6) exceed the
-# size of the flat addition tables)
+# odd extension fields on the numpy path, small and large (GF(2^10), GF(3^6))
 _KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 10), field_create(3, 6))
 
 

@@ -1,11 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenta.gf import (
     Embedding,
+    _digits,
+    _find_modulus,
+    _is_primitive,
+    _pdeg,
+    _pmod,
     embedding,
     field_create,
     field_from_order,
@@ -243,3 +249,78 @@ def test_gf9_ring_axioms_hypothesis(x, y, z):
     assert F.sub(F.add(x, y), y) == x
     if y != 0:
         assert F.mul(F.div(x, y), y) == x
+
+
+def _reference_ops(F, a, b):
+    """(a + b, a - b, a·b) for int arrays a and b, from base-p digit arithmetic
+    and the modulus alone, with no log table."""
+    p, m = F.p, F.m
+    radix = p ** np.arange(m)
+    da, db = a[:, None] // radix % p, b[:, None] // radix % p
+    # the digits of a·x^i: shift up one digit, then x^m = -(f_0 + ... + f_{m-1} x^{m-1})
+    low = np.array(F.modulus[:m])
+    shifts = [da]
+    for _ in range(m - 1):
+        v = shifts[-1]
+        shifts.append((np.concatenate([0 * v[:, :1], v[:, :-1]], axis=1) - v[:, -1:] * low) % p)
+    prod = np.einsum("ni,nij->nj", db, np.stack(shifts, axis=1)) % p
+    return ((da + db) % p) @ radix, ((da - db) % p) @ radix, prod @ radix
+
+
+# both sides of the q = 512 bound where odd extension fields once switched
+# from a q x q addition table to digit-wise addition; None: every pair
+@pytest.mark.parametrize("p,m,samples", [
+    (2, 1, None), (7, 1, None), (2, 2, None), (3, 2, None), (3, 3, None), (3, 4, None),
+    (3, 5, None), (7, 3, None), (3, 6, 20_000), (3, 9, 20_000)])
+def test_field_ops_match_digit_reference(p, m, samples):
+    F = field_create(p, m)
+    if samples is None:
+        a, b = np.divmod(np.arange(F.q * F.q), F.q)
+    else:
+        a, b = np.random.default_rng(F.q).integers(0, F.q, (2, samples))
+        a[::7] = 0
+        b[::5] = 0
+        b[1::3] = _reference_ops(F, 0 * a[1::3], a[1::3])[1]  # b = -a: the sum is zero
+    add, sub, mul = (r.tolist() for r in _reference_ops(F, a, b))
+    al, bl = a.tolist(), b.tolist()
+    assert list(map(F.add, al, bl)) == add
+    assert list(map(F.sub, al, bl)) == sub
+    assert list(map(F.mul, al, bl)) == mul
+    log, exp = F._log, F._exp
+    assert [exp[log[x] + log[y]] for x, y in zip(al, bl)] == mul
+    units = np.arange(1, F.q)
+    every = np.arange(F.q)
+    assert list(map(F.neg, range(F.q))) == _reference_ops(F, 0 * every, every)[1].tolist()
+    inverses = np.array([F.inv(x) for x in units.tolist()])
+    assert (_reference_ops(F, units, inverses)[2] == 1).all()
+
+
+def _reference_irreducible(coeffs, p: int) -> bool:
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    m = _pdeg(coeffs)
+    if m <= 0:
+        return False
+    if m == 1:
+        return True
+    if coeffs[0] == 0:  # divisible by x
+        return False
+    for d in range(1, m // 2 + 1):
+        for enc in range(p ** d):
+            div = _digits(enc, p, d) + [1]
+            if _pdeg(_pmod(coeffs, div, p)) < 0:
+                return False
+    return True
+
+
+def test_modulus_is_first_irreducible_primitive_candidate():
+    # a primitive modulus is irreducible, so the scan needs no separate irreducibility test
+    for p in filter(is_prime, range(2, 1 << 12)):
+        m = 1
+        while p ** m <= 1 << 12:
+            candidates = [_digits(enc, p, m) + [1] for enc in range(p ** m)]
+            if p ** m <= 1 << 8:
+                for c in candidates:
+                    assert not _is_primitive(c, p) or _reference_irreducible(c, p), (p, c)
+            first = next(c for c in candidates if _reference_irreducible(c, p) and _is_primitive(c, p))
+            assert _find_modulus(p, m) == tuple(first), (p, m)
+            m += 1
