@@ -14,7 +14,7 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from .config import load_config, apply_modulus_overrides
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
 from .defset import coset_partition
-from .oracle import FAMILIES, VerificationReport, sweep, verify_instance, instances
+from .oracle import FAMILIES, SKIPPED, VerificationReport, sweep, verify_instance, instances
 
 CSV_COLUMNS = ("family", "case", "q", "n", "k", "d", "d_kind", "c",
                "maximal_entanglement", "singleton_bound", "defect",
@@ -212,9 +212,9 @@ def _report_line(rep: VerificationReport) -> str:
     echo = " ".join(f"{name}={_flat(v)}" for name, v in rep.inputs)
     cells = []
     for r in rep.rows:
-        if r.kind == "skipped_cap":
+        if r.kind == SKIPPED:
             cells.append(f"{r.name} skip[{r.note}]")
-        elif r.kind == "exact":
+        elif r.kind == EXACT:
             op = "==" if r.passed else "!="
             cells.append(f"{r.name} {r.predicted}{op}{r.measured}")
         else:
@@ -231,7 +231,7 @@ def cmd_verify(args, cfg) -> int:
         sys.stdout.write(_report_line(rep) + "\n")
     failed = sum(1 for r in reports if not r.passed)
     passed = len(reports) - failed
-    skipped = sum(1 for r in reports for row in r.rows if row.kind == "skipped_cap")
+    skipped = sum(1 for r in reports for row in r.rows if row.kind == SKIPPED)
     sys.stdout.write(f"{passed} passed, {failed} failed, {skipped} skipped\n")
     return 2 if failed else 0
 

@@ -337,11 +337,6 @@ def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
     return Matrix(F, tuple(tuple(map(frob.__getitem__, r)) for r in M.rows), M.ncols)
 
 
-def conj_transpose_q(M: Matrix, q0: int) -> Matrix:
-    """Transpose with entrywise Frobenius x -> x^q0 (the * of GF(q0^2) matrices)."""
-    return transpose(frobenius_entrywise(M, q0))
-
-
 def stack(A: Matrix, B: Matrix) -> Matrix:
     if A.field != B.field or A.ncols != B.ncols:
         raise ValueError("stack requires same field and column count")

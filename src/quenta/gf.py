@@ -307,10 +307,6 @@ class GF:
             raise ValueError(f"{n} does not divide q - 1 = {self.q - 1}")
         return self.pow(self.alpha, (self.q - 1) // n)
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of an element, constant term first."""
-        return tuple(_digits(a, self.p, self.m))
-
 
 @lru_cache(maxsize=None)
 def _build_field(p: int, m: int) -> GF:
@@ -368,17 +364,9 @@ class Embedding:
             # prime subfield: constants keep their encoding
             self.up_table = list(range(sub.q))
         else:
-            gamma = self._find_generator_image()
-            powers = [1]
-            for _ in range(sub.m - 1):
-                powers.append(ext.mul(powers[-1], gamma))
-            table = []
-            for a in range(sub.q):
-                acc = 0
-                for c, gpow in zip(sub.coeffs(a), powers):
-                    acc = ext.add(acc, ext.mul(c, gpow))
-                table.append(acc)
-            self.up_table = table
+            # up(alpha_sub^i) = gamma^i, read from the logs; up(0) = 0
+            lg, q1 = ext._log[self._find_generator_image()], ext.q - 1
+            self.up_table = [ext._exp[lg * i % q1] if a else 0 for a, i in enumerate(sub._log)]
         self._down = {v: a for a, v in enumerate(self.up_table)}
         if len(self._down) != sub.q:
             raise ValueError("embedding is not injective (bad modulus?)")

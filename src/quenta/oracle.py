@@ -1,10 +1,13 @@
 """Independent brute-force verification of predicted code parameters.
 
 Every quantity a construction claims is re-measured here from a different
-route: entanglement counts as ranks of parity-check products, dimensions
-via the rank identity, distances by exhaustive enumeration (falling back
-to the consecutive-root bound under the cap), hulls as row-space
-intersections.  Skips are first-class report rows, never silent.
+route: entanglement counts as ranks of parity-check products, cross-checked
+against the dimension identity; intersections, hulls and dimensions read
+back from that identity; distances by exhaustive enumeration (falling back
+to the consecutive-root bound under the cap).  A Hermitian code C over
+GF(q0^2) is measured as the Euclidean pair (C, C^q0), because its Hermitian
+dual is the Euclidean dual of its Frobenius image.  Skips are first-class
+report rows, never silent.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from .code import (
     DEFAULT_DISTANCE_CAP,
     EnumerationCapError,
     LinearCode,
-    conj_transpose_q,
+    Matrix,
     cyclic_code,
     frobenius_entrywise,
-    hermitian_dual_code,
     _min_weight,
     min_distance_exhaustive,
     product,
@@ -91,26 +93,32 @@ def _finish(p: QuentaParams, rows, notes=()) -> VerificationReport:
 # rank oracles
 # ----------------------------------------------------------------------
 
+def _entanglement_rank(H1: Matrix, G2: Matrix, H2: Matrix) -> int:
+    """rk(H1 H2^T) for C1 with parity check H1 and C2 with generator G2 and
+    parity check H2, cross-checked against dim C1-dual minus dim(C1-dual ∩ C2)."""
+    r = rank(product(H1, transpose(H2)))
+    # H1 and G2 are full row rank (LinearCode checked it): only the stack needs ranking
+    identity = rank(stack(H1, G2)) - G2.nrows
+    if r != identity:
+        raise AssertionError(f"rank {r} != dimension identity {identity}")
+    return r
+
+
 def entanglement_rank_euclid(C1: LinearCode, C2: LinearCode) -> int:
     """rk(H1 H2^T), cross-checked against dim C1-dual minus the intersection."""
     if C1.field != C2.field or C1.n != C2.n:
         raise ValueError("codes must share field and length")
-    r = rank(product(C1.H, transpose(C2.H)))
-    # H1 and G2 are full row rank (LinearCode checked it): only the stack needs ranking
-    identity = rank(stack(C1.H, C2.G)) - C2.G.nrows
-    if r != identity:
-        raise AssertionError(f"rank {r} != dimension identity {identity}")
-    return r
+    return _entanglement_rank(C1.H, C2.G, C2.H)
 
 
 def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
-    """rk(H H*), cross-checked against dim of the Hermitian dual minus the hull."""
-    r = rank(product(C.H, conj_transpose_q(C.H, q0)))
-    dual = hermitian_dual_code(C, q0)
-    identity = rank(stack(dual.G, C.G)) - C.G.nrows
-    if r != identity:
-        raise AssertionError(f"rank {r} != dimension identity {identity}")
-    return r
+    """rk(H H*), cross-checked against dim of the Hermitian dual minus the hull.
+
+    H* is the transpose of H^q0, the parity check of C^q0, so this is the
+    Euclidean count of the pair (C, C^q0).  Frobenius maps the hull
+    C ∩ (C^q0)-dual onto C-dual ∩ C^q0, so the identity's intersection is
+    the hull's dimension."""
+    return _entanglement_rank(C.H, frobenius_entrywise(C.G, q0), frobenius_entrywise(C.H, q0))
 
 
 def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):
@@ -205,8 +213,29 @@ def _materialize_base(q: int, n: int, matrix_cap: int):
     return (base, ext), None
 
 
-def _skip_all(p: QuentaParams, names, reason) -> VerificationReport:
+def _skip_rank_rows(p: QuentaParams, pred_int: int, lcd: bool, reason) -> VerificationReport:
+    """The k, c, intersection, d (and, for LCD, hull) rows, all skipped for one reason."""
+    names = [("k", p.k), ("c", p.c), ("intersection", pred_int), ("d", p.d)]
+    if lcd:
+        names.append(("hull", 0))
     return _finish(p, [_skip_row(nm, pred, reason) for nm, pred in names])
+
+
+def _rank_rows(p: QuentaParams, pred_int: int, lcd: bool, C1: LinearCode, k2: int,
+               c_rank: int, d) -> list[ReportRow]:
+    """The k, c, intersection, hull (LCD only) and d rows of the pair (C1, C2), k2 = dim C2.
+
+    The entanglement rank asserted c = dim C1-dual - the intersection (the hull if LCD)."""
+    inter = C1.H.nrows - c_rank
+    rows = [
+        _exact_row("k", p.k, C1.k + k2 - p.n + c_rank),
+        _exact_row("c", p.c, c_rank),
+        _exact_row("intersection", pred_int, inter),
+    ]
+    if lcd:
+        rows.append(_exact_row("hull", 0, inter))
+    rows.append(_d_row(p, *d))
+    return rows
 
 
 def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
@@ -218,30 +247,18 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
         Z1, Z2 = p.defset_named("Z1"), p.defset_named("Z2")
     n, q = p.n, p.q
     pred_int = intersection_dim(euclidean_dual_defset(Z1), Z2)
-
-    skip_names = [("k", p.k), ("c", p.c), ("intersection", pred_int), ("d", p.d)]
-    if lcd:
-        skip_names.append(("hull", 0))
     if rs and n != q - 1:
-        return _skip_all(p, skip_names, f"formula mode (n = {n} != q - 1): not materialized")
+        return _skip_rank_rows(p, pred_int, lcd,
+                               f"formula mode (n = {n} != q - 1): not materialized")
     made, reason = _materialize_base(q, n, matrix_cap)
     if made is None:
-        return _skip_all(p, skip_names, reason)
+        return _skip_rank_rows(p, pred_int, lcd, reason)
     base, ext = made
 
     C1, d1 = _measured_cyclic_code(Z1, base, ext, distance_cap)
     C2, d2 = _measured_cyclic_code(Z2, base, ext, distance_cap)
     c_rank = entanglement_rank_euclid(C1, C2)
-    # entanglement_rank_euclid asserted c = dim C1-dual - this intersection (the hull if LCD)
-    inter = C1.H.nrows - c_rank
-    rows = [
-        _exact_row("k", p.k, C1.k + C2.k - n + c_rank),
-        _exact_row("c", p.c, c_rank),
-        _exact_row("intersection", pred_int, inter),
-    ]
-    if lcd:
-        rows.append(_exact_row("hull", 0, inter))
-    rows.append(_d_row(p, *combine_min([d1, d2])))
+    rows = _rank_rows(p, pred_int, lcd, C1, C2.k, c_rank, combine_min([d1, d2]))
 
     notes = []
     rel1 = _relative_weight(Z1, Z2, base, ext, distance_cap)
@@ -260,32 +277,18 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
 
 def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
                       lcd: bool = False) -> VerificationReport:
-    """Single-code verifier over GF(q^2); ``lcd`` adds the hull row."""
+    """Single-code verifier over GF(q^2), as the pair (C, C^q); ``lcd`` adds the hull row."""
     Z = p.defset_named("Z")
-    n, q0 = p.n, p.q
-    q2 = q0 * q0
-    s = len(Z.intersection(hermitian_dual_defset(Z)))
-
-    skip_names = [("k", p.k), ("c", p.c), ("intersection", s), ("d", p.d)]
-    if lcd:
-        skip_names.append(("hull", 0))
-    made, reason = _materialize_base(q2, n, matrix_cap)
+    q0 = p.q
+    pred_int = len(Z.intersection(hermitian_dual_defset(Z)))
+    made, reason = _materialize_base(q0 * q0, p.n, matrix_cap)
     if made is None:
-        return _skip_all(p, skip_names, reason)
+        return _skip_rank_rows(p, pred_int, lcd, reason)
     base, ext = made
 
     C, d = _measured_cyclic_code(Z, base, ext, distance_cap)
     c_rank = entanglement_rank_hermitian(C, q0)
-    # entanglement_rank_hermitian asserted c = dim Hermitian dual (n - k) - this hull
-    hull = n - C.k - c_rank
-    rows = [
-        _exact_row("k", p.k, 2 * C.k - n + c_rank),
-        _exact_row("c", p.c, c_rank),
-        _exact_row("intersection", s, hull),
-    ]
-    if lcd:
-        rows.append(_exact_row("hull", 0, hull))
-    rows.append(_d_row(p, *d))
+    rows = _rank_rows(p, pred_int, lcd, C, C.k, c_rank, d)
 
     notes = []
     rel = relative_min_weight(C, frobenius_entrywise(C.G, q0))

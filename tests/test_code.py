@@ -12,10 +12,10 @@ from quenta.code import (
     EnumerationCapError,
     Matrix,
     code_from_rows,
-    conj_transpose_q,
     cyclic_code,
     defining_set_of,
     dual_code,
+    frobenius_entrywise,
     hermitian_dual_code,
     hermitian_hull_dim,
     hull_dim,
@@ -117,12 +117,15 @@ def test_stack_and_intersection_rank_identity():
     assert intersection_dim_matrices(A, B) == 1
 
 
-def test_conj_transpose_golden():
+def test_frobenius_entrywise_golden():
     # GF(4) = {0, 1, b=2, b^2=3}; Frobenius x -> x^2 swaps 2 and 3
-    M = matrix(F4, [(1, 2, 3)])
-    Mh = conj_transpose_q(M, 2)
-    assert Mh.rows == ((1,), (3,), (2,))
-    assert (Mh.nrows, Mh.ncols) == (3, 1)
+    M = matrix(F4, [(1, 2, 3), (0, 3, 2)])
+    Mf = frobenius_entrywise(M, 2)
+    assert Mf.rows == ((1, 3, 2), (0, 2, 3))
+    assert (Mf.nrows, Mf.ncols) == (2, 3)
+    assert frobenius_entrywise(Mf, 2) == M
+    with pytest.raises(ValueError):
+        frobenius_entrywise(matrix(F2, [(1, 0)]), 2)
 
 
 def test_cyclic_code_hamming():
@@ -413,10 +416,10 @@ def kernel_case(draw):
 
 
 def _bch_hermit_stack():
-    """The 80 x 80 GF(9) stack [Hermitian dual G; G] that bch-hermit --q 3 ranks."""
+    """The 80 x 80 GF(9) stack [H; G^3] that bch-hermit --q 3 ranks."""
     Z = bch_hermit(3, 4).defset_named("Z")
     C = cyclic_code(Z, F9, splitting_field(9, 80))
-    return stack(hermitian_dual_code(C, 3).G, C.G)
+    return stack(C.H, frobenius_entrywise(C.G, 3))
 
 
 def _on_kernel(kernel, M, B):

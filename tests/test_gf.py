@@ -179,6 +179,31 @@ def test_embedding_gf9_into_gf81_random():
         assert emb.up(sub.add(x, y)) == ext.add(emb.up(x), emb.up(y))
 
 
+def _walk_up_table(sub, ext, gamma):
+    """up(a) as sum of c_i * gamma^i over the digits c_i of a: the coefficient walk."""
+    powers = [1]
+    for _ in range(sub.m - 1):
+        powers.append(ext.mul(powers[-1], gamma))
+    table = []
+    for a in range(sub.q):
+        acc = 0
+        for c, gpow in zip(_digits(a, sub.p, sub.m), powers):
+            acc = ext.add(acc, ext.mul(c, gpow))
+        table.append(acc)
+    return table
+
+
+def test_embedding_log_table_matches_coefficient_walk():
+    # every non-prime subfield pair GF(p^s) <= GF(p^m) with p^m <= 2^12
+    pairs = [(p, s, m) for p in range(2, 65) if is_prime(p)
+             for s in range(2, 13) for m in range(s, 13, s) if p ** m <= 1 << 12]
+    assert len(pairs) == 57
+    for p, s, m in pairs:
+        sub, ext = field_create(p, s), field_create(p, m)
+        emb = embedding(sub, ext)
+        assert emb.up_table == _walk_up_table(sub, ext, emb._find_generator_image())
+
+
 def test_embedding_down_rejects_outsiders():
     sub, ext = field_create(2, 2), field_create(2, 4)
     emb = embedding(sub, ext)

@@ -2,10 +2,17 @@ import pytest
 
 from quenta import constructions as cons
 from quenta import defset as defset_module
+from quenta import code as code_module
 from quenta import oracle
-from quenta.code import cyclic_code, matrix, min_distance_exhaustive, zero_matrix
+from quenta.code import (
+    cyclic_code,
+    hermitian_hull_dim,
+    matrix,
+    min_distance_exhaustive,
+    zero_matrix,
+)
 from quenta.defset import bch_bound, coset_closed_subsets, defset
-from quenta.gf import field_create, splitting_field
+from quenta.gf import field_create, field_from_order, splitting_field
 from quenta.oracle import (
     LOWER_OK,
     SKIPPED,
@@ -77,6 +84,26 @@ def test_rank_hermitian_length_80():
     ext = splitting_field(9, 80)
     C = cyclic_code(defset(80, 9, {0, 10, 11, 19}), F9, ext)
     assert entanglement_rank_hermitian(C, 3) == 1
+
+
+@pytest.mark.parametrize("q0,n", [(2, 3), (2, 5), (2, 15), (3, 8), (3, 13)])
+def test_rank_hermitian_matches_kernel_route_hull(q0, n):
+    # the pair (C, C^q0) counts what the Hermitian dual built by kernel_basis does
+    base, ext = field_from_order(q0 * q0), splitting_field(q0 * q0, n)
+    for Z in coset_closed_subsets(n, q0 * q0):
+        C = cyclic_code(Z, base, ext)
+        assert entanglement_rank_hermitian(C, q0) == C.H.nrows - hermitian_hull_dim(C, q0)
+
+
+def test_rank_cross_check_raises_on_mismatch(monkeypatch):
+    ext = splitting_field(4, 3)
+    C = cyclic_code(defset(3, 4, {1}), F4, ext)
+    # drop G2 from the stack: the identity then reads rk(H1) - dim C2 = -1
+    monkeypatch.setattr(oracle, "stack", lambda A, B: A)
+    with pytest.raises(AssertionError, match="dimension identity"):
+        entanglement_rank_hermitian(C, 2)
+    with pytest.raises(AssertionError, match="dimension identity"):
+        entanglement_rank_euclid(C, C)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +267,18 @@ def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
     assert len(reports) == len(subsets) ** 2
     assert len(built) == len(measured) == len(subsets)
     assert set(built) == set(measured) == set(subsets)
+
+
+def test_hermitian_sweep_builds_no_dual_code(monkeypatch):
+    # the Hermitian count is the Euclidean pair (C, C^q): no kernel_basis per instance
+    calls = []
+    real = code_module.kernel_basis
+    monkeypatch.setattr(code_module, "kernel_basis", lambda M: calls.append(M) or real(M))
+    oracle._measured_cyclic_code.cache_clear()
+    reports = sweep("hermitian-lcd", 2, n=15) + sweep("hermitian", 3, n=8)
+    assert len(reports) == 64 + 256
+    assert all(r.passed and rows_by_name(r)["c"].kind == "exact" for r in reports)
+    assert calls == []
 
 
 def test_euclid_pair_sweep_weighs_each_ordered_pair_once(monkeypatch):
