@@ -4,10 +4,14 @@ Generator/parity-check pairs built from generator polynomials, exact
 rank/RREF/kernel computations and products, Euclidean and Hermitian duals,
 hull dimensions, and exhaustive minimum distance by meet-in-the-middle
 enumeration of one codeword per projective point.  Everything is exact.
-Row reduction and products pick one kernel per field shape: int bitmask rows
-over GF(2), numpy arrays of int64 field elements for large matrices over
-other fields, and a Python loop over log/antilog lists for small ones.  numpy
-also carries XOR and digit-wise mod-p addition during enumeration.
+A matrix over GF(2) is stored as int bitmask rows, the first column in the
+most significant bit, from construction to result: rank, RREF, kernel,
+product (Four Russians tables of the right factor, kept with it), stack and
+transpose never form tuple rows, which are derived only when read.  Over
+other fields row reduction and products use numpy arrays of int64 field
+elements for large matrices and a Python loop over log/antilog lists for
+small ones.  numpy also carries XOR and digit-wise mod-p addition during
+enumeration.
 """
 
 from __future__ import annotations
@@ -37,28 +41,82 @@ class EnumerationCapError(ValueError):
     """Raised when q^k exceeds the codeword-enumeration cap."""
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix over a finite field; rows of field elements."""
+    """Immutable matrix over a finite field.
 
-    field: GF
-    rows: tuple[tuple[int, ...], ...]
-    ncols: int
+    Over GF(2) the stored form is ``bits``: one int bitmask per row, the first
+    column in the most significant bit, and the tuple ``rows`` are derived from
+    it when first read.  Over other fields ``rows`` are stored and ``bits`` is
+    None.  The constructor validates and packs its input; kernel results are
+    built in the stored form, unchecked, by ``_made``.
+    """
 
-    def __post_init__(self):
-        q = self.field.q
-        for r in self.rows:
-            if len(r) != self.ncols:
+    __slots__ = ("field", "ncols", "bits", "_rows", "_transpose", "_row_sums")
+
+    def __init__(self, field: GF, rows, ncols: int):
+        rows = tuple(map(tuple, rows))
+        for r in rows:
+            if len(r) != ncols:
                 raise ValueError("ragged rows")
-            if r and not (0 <= min(r) and max(r) < q):
+            if r and not (0 <= min(r) and max(r) < field.q):
                 raise ValueError("entry outside field")
+        bits = tuple(_pack(rows)) if field.q == 2 else None
+        self.field, self.ncols, self.bits, self._rows = field, ncols, bits, rows
+        self._transpose = self._row_sums = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            self._rows = _unpack(self.bits, self.ncols)
+        return self._rows
+
+    @property
+    def _stored(self) -> tuple:
+        return self._rows if self.bits is None else self.bits
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self.bits is None else self.bits)
+
+    def __eq__(self, other):
+        return (isinstance(other, Matrix) and self.field == other.field
+                and self.ncols == other.ncols and self._stored == other._stored)
+
+    def __hash__(self):
+        return hash((self.field, self.ncols, self._stored))
+
+    def __repr__(self):
+        return f"Matrix(field={self.field!r}, rows={self.rows!r}, ncols={self.ncols})"
+
+    def is_zero(self) -> bool:
+        return not any(self.bits if self.bits is not None else map(any, self._rows))
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+
+
+def _made(field: GF, rows, ncols: int) -> Matrix:
+    """A kernel result in the field's stored form (bitmasks over GF(2)), unchecked."""
+    M = object.__new__(Matrix)
+    M.field, M.ncols, M._transpose, M._row_sums = field, ncols, None, None
+    M.bits, M._rows = (tuple(rows), None) if field.q == 2 else (None, tuple(map(tuple, rows)))
+    return M
+
+
+_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(rows) -> list[int]:
+    """GF(2) rows as int bitmasks, the first column in the most significant bit."""
+    return [int(bytes(r).translate(_TO_BITS) or b"0", 2) for r in rows]
+
+
+def _unpack(bits, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """The tuple rows of GF(2) bitmasks; the inverse of _pack."""
+    fmt = f"0{ncols}b"
+    return tuple(tuple(format(x, fmt).encode().translate(_FROM_BITS)) if ncols else ()
+                 for x in bits)
 
 
 def matrix(field: GF, rows, ncols: int | None = None) -> Matrix:
@@ -79,9 +137,14 @@ def identity(field: GF, k: int) -> Matrix:
 
 
 def transpose(M: Matrix) -> Matrix:
-    if not M.rows:
-        return Matrix(M.field, ((),) * M.ncols, 0)
-    return Matrix(M.field, tuple(zip(*M.rows)), M.nrows)
+    """M^T, built once per matrix; transposing it back gives M itself."""
+    if M._transpose is None:
+        if M.bits is not None:
+            T = _made(M.field, _transpose_gf2(M.bits, M.ncols), M.nrows)
+        else:
+            T = _made(M.field, zip(*M._rows) if M._rows else ((),) * M.ncols, M.nrows)
+        M._transpose, T._transpose = T, M
+    return M._transpose
 
 
 def product(A: Matrix, B: Matrix) -> Matrix:
@@ -90,8 +153,10 @@ def product(A: Matrix, B: Matrix) -> Matrix:
         raise ValueError("field mismatch in matrix product")
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
+    if A.bits is not None:
+        return _made(A.field, _product_gf2(A, B), B.ncols)
     kernel = _kernel(A.field, max(A.nrows * A.ncols, B.nrows * B.ncols))
-    return Matrix(A.field, tuple(map(tuple, kernel.product(A, B))), B.ncols)
+    return _made(A.field, kernel.product(A, B), B.ncols)
 
 
 # ----------------------------------------------------------------------
@@ -165,38 +230,62 @@ def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+def _echelon_gf2(bits) -> dict[int, int]:
+    """Rows with distinct leading bits spanning the rows of ``bits``, keyed by
+    bit length: each row is cleared by the rows already kept whose leading bit
+    it has, highest first, until its own leading bit is new or it is zero."""
+    lead: dict[int, int] = {}
+    for x in bits:
+        while x:
+            top = x.bit_length()
+            y = lead.get(top)
+            if y is None:
+                lead[top] = x
+                break
+            x ^= y
+    return lead
 
 
-def _pack(rows) -> list[int]:
-    """GF(2) rows as int bitmasks, the first column in the most significant bit."""
-    return [int(bytes(r).translate(_TO_BITS) or b"0", 2) for r in rows]
+def _rref_gf2(bits, ncols: int) -> tuple[list[int], list[int]]:
+    """GF(2) RREF from the echelon rows: each row, from the lowest leading bit
+    up, is cleared of the leading bits of the (reduced) rows below it.  x ^ y
+    is below x exactly when x has y's leading bit."""
+    reduced: list[int] = []
+    for x in sorted(_echelon_gf2(bits).values()):
+        for y in reduced:
+            x = min(x, x ^ y)
+        reduced.append(x)
+    reduced.reverse()
+    pivots = [ncols - x.bit_length() for x in reduced]
+    return reduced + [0] * (len(bits) - len(reduced)), pivots
 
 
-def _rref_gf2(M: Matrix) -> tuple[list[tuple[int, ...]], list[int]]:
-    """GF(2) RREF by XOR of bitmask rows; the next pivot is the highest set bit left."""
-    n = M.ncols
-    rows = _pack(M.rows)
-    pivots: list[int] = []
-    for pr in range(len(rows)):
-        top = max(rows[pr:])
-        if not top:
-            break
-        bit = 1 << (top.bit_length() - 1)
-        r = rows.index(top, pr)
-        rows[r] = rows[pr]
-        rows = [x ^ top if x & bit else x for x in rows]
-        rows[pr] = top
-        pivots.append(n - top.bit_length())
-    fmt = f"0{n}b"
-    return [tuple(format(x, fmt).encode().translate(_FROM_BITS)) if n else () for x in rows], pivots
+def _product_gf2(A: Matrix, B: Matrix) -> list[int]:
+    """Rows of A·B over GF(2) by the Four Russians method (as in M4RI, Albrecht,
+    Bard & Hart): B keeps, for each run of 8 of its rows from the last, the XOR
+    of every subset of the run, and each row of A picks one per 8 of its bits."""
+    if B._row_sums is None:
+        B._row_sums = []
+        for s in range(B.nrows, 0, -8):
+            sums = [0]
+            for r in reversed(B.bits[max(s - 8, 0):s]):
+                sums += [x ^ r for x in sums]
+            B._row_sums.append(sums)
+    out = []
+    for a in A.bits:
+        acc = 0
+        for sums in B._row_sums:
+            acc ^= sums[a & 255]
+            a >>= 8
+        out.append(acc)
+    return out
 
 
-def _product_gf2(A: Matrix, B: Matrix) -> list[list[int]]:
-    """GF(2) product: each entry is the parity of a row AND a column."""
-    cols = _pack(zip(*B.rows)) if B.rows else [0] * B.ncols
-    return [[(a & c).bit_count() & 1 for c in cols] for a in _pack(A.rows)]
+def _transpose_gf2(bits, ncols: int) -> list[int]:
+    if not bits or not ncols:
+        return [0] * ncols
+    fmt = f"0{ncols}b"
+    return [int("".join(col), 2) for col in zip(*(format(x, fmt) for x in bits))]
 
 
 class _ArrayField:
@@ -281,28 +370,30 @@ class _Kernel(NamedTuple):
     product: Callable[[Matrix, Matrix], list]
 
 
-_GF2_KERNEL = _Kernel(_rref_gf2, _product_gf2)
 _NUMPY_KERNEL = _Kernel(_rref_numpy, _product_numpy)
 _LOOP_KERNEL = _Kernel(_rref_loop, _product_loop)
 
 
 def _kernel(F: GF, entries: int) -> _Kernel:
-    """Bitmask rows over GF(2); numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
-    if F.q == 2:
-        return _GF2_KERNEL
+    """Over fields other than GF(2): numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
     return _NUMPY_KERNEL if entries >= _NUMPY_MIN_ENTRIES else _LOOP_KERNEL
 
 
 def _rref_rows(M: Matrix) -> tuple[list, list[int]]:
+    """(RREF rows in M's stored form, pivot columns); GF(2) bitmasks never unpack."""
+    if M.bits is not None:
+        return _rref_gf2(M.bits, M.ncols)
     return _kernel(M.field, M.nrows * M.ncols).rref(M)
 
 
 def rref(M: Matrix) -> Matrix:
     rows, _ = _rref_rows(M)
-    return Matrix(M.field, tuple(tuple(r) for r in rows), M.ncols)
+    return _made(M.field, rows, M.ncols)
 
 
 def rank(M: Matrix) -> int:
+    if M.bits is not None:
+        return len(_echelon_gf2(M.bits))
     _, pivots = _rref_rows(M)
     return len(pivots)
 
@@ -310,23 +401,27 @@ def rank(M: Matrix) -> int:
 def row_space_basis(M: Matrix) -> Matrix:
     """Nonzero rows of the RREF: canonical basis of the row space."""
     rows, pivots = _rref_rows(M)
-    return Matrix(M.field, tuple(tuple(r) for r in rows[: len(pivots)]), M.ncols)
+    return _made(M.field, rows[: len(pivots)], M.ncols)
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Rows spanning the right null space {x : M x^T = 0}; (ncols - rank) rows."""
-    F = M.field
+    F, n = M.field, M.ncols
     rows, pivots = _rref_rows(M)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(M.ncols) if c not in pivot_set]
+    free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = [0] * M.ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[i][f])
-        basis.append(tuple(v))
-    return Matrix(F, tuple(basis), M.ncols)
+        if M.bits is not None:
+            bit = 1 << (n - 1 - f)
+            v = bit | sum(1 << (n - 1 - pc) for r, pc in zip(rows, pivots) if r & bit)
+        else:
+            v = [0] * n
+            v[f] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = F.neg(rows[i][f])
+        basis.append(v)
+    return _made(F, basis, n)
 
 
 def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
@@ -334,13 +429,13 @@ def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
     if F.q != q0 * q0:
         raise ValueError(f"field of size {F.q} is not GF({q0}^2)")
     frob = {e: F.pow(e, q0) for e in set(chain.from_iterable(M.rows))}
-    return Matrix(F, tuple(tuple(map(frob.__getitem__, r)) for r in M.rows), M.ncols)
+    return _made(F, (map(frob.__getitem__, r) for r in M.rows), M.ncols)
 
 
 def stack(A: Matrix, B: Matrix) -> Matrix:
     if A.field != B.field or A.ncols != B.ncols:
         raise ValueError("stack requires same field and column count")
-    return Matrix(A.field, A.rows + B.rows, A.ncols)
+    return _made(A.field, A._stored + B._stored, A.ncols)
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +457,7 @@ class LinearCode:
             raise ValueError("G and H must have n columns")
         if self.G.nrows + self.H.nrows != self.n:
             raise ValueError("rank deficit: k + (n - k) != n")
-        prod = product(self.G, transpose(self.H))
-        if any(any(r) for r in prod.rows):
+        if not product(self.G, transpose(self.H)).is_zero():
             raise ValueError("G H^T != 0")
         if rank(self.G) != self.G.nrows or rank(self.H) != self.H.nrows:
             raise ValueError("G or H is not full row rank")
@@ -483,6 +577,8 @@ def _weigh(words, n: int, width: int, relative: bool, best: int) -> int:
 def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
     """Least weight on the first n columns of the words x·rows, x != 0.
 
+    The rows become one array, scaled through F's log and antilog arrays.
+
     With ``relative``, only words whose columns past n (a syndrome tail) are
     nonzero count.  Returns n + 1 when no word counts.  Scaling a word keeps
     its weight and whether its tail is zero, so only the (q^k - 1)/(q - 1)
@@ -497,34 +593,37 @@ def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
     the zero high word, last, only the low prefix.  Words are stored as
     columns, so a weight is a sum over contiguous rows.
     """
-    if not rows:
+    k = len(rows)
+    if not k:
         return n + 1
     encode, add, width = _enumeration_ops(F)
-    q = F.q
+    q, ops = F.q, _array_field(F)
+    logs = ops.log[np.array(rows, dtype=np.int64)]
     k_lo = 1
-    while k_lo < len(rows) and q ** (k_lo + 1) <= _BLOCK:
+    while k_lo < k and q ** (k_lo + 1) <= _BLOCK:
         k_lo += 1
 
-    def multiples(row, scalars):
-        return encode(np.array([[F.mul(a, e) for e in row] for a in scalars], dtype=np.int64)).T
+    def multiples(j, scalars):
+        """Row j times each scalar, as encoded words in columns."""
+        return encode(ops.exp[ops.log[scalars][:, None] + logs[j]]).T
 
-    def span(group, top=q):
-        """The span of group; its last row takes only the coefficients below top."""
-        table = multiples(rows[0], [0])  # the zero word
-        for j, row in enumerate(group, 1):
-            scaled = multiples(row, range(1, q if j < len(group) else top)).T
+    def span(lo, hi, top=q):
+        """The span of rows lo..hi-1; the last takes only the coefficients below top."""
+        table = multiples(0, np.zeros(1, dtype=np.int64))  # the zero word
+        for j in range(lo, hi):
+            scaled = multiples(j, np.arange(1, q if j < hi - 1 else top)).T
             blocks = [add(table, s[:, None]) for s in scaled]
             table = np.concatenate(blocks[:1] + [table] + blocks[1:], axis=1)
         return table
 
     if q > _BLOCK:
-        order = [1, 0, *range(2, q)]
-        lows = ((multiples(rows[0], order[s:s + _BLOCK]), int(s == 0)) for s in range(0, q, _BLOCK))
+        order = np.array([1, 0, *range(2, q)])
+        lows = ((multiples(0, order[s:s + _BLOCK]), int(s == 0)) for s in range(0, q, _BLOCK))
     else:
-        lows = [(span(rows[:k_lo]), (q ** k_lo - 1) // (q - 1))]
+        lows = [(span(0, k_lo), (q ** k_lo - 1) // (q - 1))]
     # the normalized high words and the zero word lie in the last row's 1 and 0 blocks
-    high = span(rows[k_lo:], 2)
-    n_high = (q ** (len(rows) - k_lo) - 1) // (q - 1)
+    high = span(k_lo, k, 2)
+    n_high = (q ** (k - k_lo) - 1) // (q - 1)
     best = n + 1
     for low, lead in lows:
         stop = n_high + (lead > 0)

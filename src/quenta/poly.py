@@ -10,8 +10,9 @@ with beta the fixed n-th root of unity of the splitting field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
+from .defset import cyclotomic_coset
 from .gf import GF, embedding
 
 
@@ -218,20 +219,22 @@ def _root_product(indices, n: int, base: GF, ext: GF) -> Poly:
     return poly(base, down)
 
 
+@lru_cache(maxsize=1024)  # a sweep over one length needs at most n
 def minimal_polynomial(i: int, n: int, base: GF, ext: GF) -> Poly:
     """Monic polynomial over the base field whose roots are beta^j, j in the coset of i."""
-    coset = set()
-    j = i % n
-    while j not in coset:
-        coset.add(j)
-        j = (j * base.q) % n
-    return _root_product(coset, n, base, ext)
+    return _root_product(cyclotomic_coset(i, n, base.q).elems, n, base, ext)
 
 
 def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
-    """g(x) = prod_{i in Z}(x - beta^i) with coefficients in the base field."""
+    """g(x) = prod_{i in Z}(x - beta^i) with coefficients in the base field: the
+    product, over the base field, of the cached minimal polynomials of Z's
+    cosets.  A Z that is not a union of cosets, or an n that does not divide
+    |ext| - 1, takes the root-by-root product, which refuses it."""
     idx = {i % n for i in indices}
-    g = _root_product(idx, n, base, ext)
+    cosets = {cyclotomic_coset(i, n, base.q) for i in idx} if (ext.q - 1) % n == 0 else None
+    if cosets is None or sum(map(len, cosets)) != len(idx):
+        return _root_product(idx, n, base, ext)
+    g = reduce(mul, (minimal_polynomial(Z.elems[0], n, base, ext) for Z in cosets), one(base))
     if g.deg != len(idx):
         raise AssertionError("degree of generator must equal |Z|")
     return g

@@ -485,3 +485,21 @@ def test_config_modulus_override_good_value(tmp_path, capsys):
         assert json.loads(out)["verification"]["passed"] is True
     finally:
         gf.set_modulus_override(2, 2, None)
+
+
+# stdout digests of two GF(2) sweeps, recorded before GF(2) matrices were kept
+# as bitmask rows; a deterministic bug in the packed kernels changes them
+_GOLDEN_SWEEPS = [
+    (("verify", "--family", "euclid-pair", "--q", "2", "--n", "15"),
+     "a11550aa01d4bbb3c2ddd21bcaecaa6495372859874df13196b9e3a97b436fcb"),
+    (("verify", "--family", "euclid-lcd", "--q", "2", "--n", "31"),
+     "f89f81bf2788f4c2e37374723096d50cb27cd2290665642bb31a911f0afe4573"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN_SWEEPS)
+def test_gf2_sweep_golden_digest(capsys, argv, digest):
+    import hashlib
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

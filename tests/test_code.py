@@ -42,7 +42,7 @@ from quenta.defset import (
     intersection_dim,
 )
 from quenta.gf import field_create, field_from_order, splitting_field
-from quenta.oracle import relative_min_weight
+from quenta.oracle import entanglement_rank_euclid, relative_min_weight
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -374,7 +374,19 @@ def reference_rref(M):
     return rows, pivots
 
 
-_REFERENCE_KERNEL = code_module._Kernel(reference_rref, reference_product)
+def reference_outputs(M, B):
+    """rref, rank, row-space basis, kernel basis and product by the reference loops."""
+    F = M.field
+    rows, pivots = reference_rref(M)
+    kernel = []
+    for f in (c for c in range(M.ncols) if c not in pivots):
+        v = [0] * M.ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(rows[i][f])
+        kernel.append(v)
+    return tuple(tuple(map(tuple, m)) if isinstance(m, list) else m for m in (
+        rows, len(pivots), rows[:len(pivots)], kernel, reference_product(M, B)))
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F5, F8, F9, F16, field_create(3, 3)])
@@ -386,7 +398,8 @@ def test_log_tables_multiply_with_zero(F):
 
 
 # fields of every kernel shape: GF(2) bitmasks; characteristic 2, prime and
-# odd extension fields on the numpy path, small and large (GF(2^10), GF(3^6))
+# odd extension fields on the loop and numpy paths, small and large (GF(2^10),
+# GF(3^6))
 _KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 10), field_create(3, 6))
 
 
@@ -441,16 +454,66 @@ _STACK = _bch_hermit_stack()
 @example((_STACK, transpose(_STACK)))
 def test_kernels_match_reference_loop(case):
     M, B = case
-    expected = _on_kernel(_REFERENCE_KERNEL, M, B)
-    got = [_kernel_outputs(M, B), _on_kernel(code_module._LOOP_KERNEL, M, B),
-           _on_kernel(code_module._NUMPY_KERNEL, M, B)]
-    if M.field.q == 2:
-        got.append(_on_kernel(code_module._GF2_KERNEL, M, B))
+    expected = reference_outputs(M, B)
+    got = [_kernel_outputs(M, B)]
+    if M.field.q != 2:  # GF(2) bitmask rows never route through _kernel
+        got += [_on_kernel(code_module._LOOP_KERNEL, M, B),
+                _on_kernel(code_module._NUMPY_KERNEL, M, B)]
     for outputs in got:
         assert outputs == expected
         rows, r, basis, kernel, prod = outputs
         assert type(r) is int
         assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
+    # a kernel's result and the same matrix built from its tuple rows are equal
+    # and hash alike; stack and transpose keep row and column order
+    for R in (rref(M), row_space_basis(M), kernel_basis(M), product(M, B), transpose(M)):
+        rebuilt = Matrix(R.field, R.rows, R.ncols)
+        assert R == rebuilt and hash(R) == hash(rebuilt)
+        assert R.nrows == len(R.rows)
+        other = M if M.ncols == R.ncols else R
+        assert stack(R, other).rows == R.rows + other.rows
+        T = transpose(R)
+        assert T.rows == (tuple(zip(*R.rows)) if R.rows else ((),) * R.ncols)
+        assert (T.nrows, T.ncols) == (R.ncols, R.nrows) and transpose(T) == R
+        assert T == Matrix(R.field, T.rows, T.ncols)
+    assert stack(M, rref(M)).rows == M.rows + expected[0]
+
+
+def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
+    ext = splitting_field(2, 15)
+    codes = [cyclic_code(Z, F2, ext) for Z in closed_subsets(15, 2)]
+    M = matrix(F2, [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0)])
+    expected = [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes]
+
+    def refuse(*_):
+        raise AssertionError("GF(2) rows unpacked")
+
+    monkeypatch.setattr(code_module, "_unpack", refuse)
+    assert rank(M) == 2 and rank(rref(M)) == 2 and rank(kernel_basis(M)) == 2
+    assert [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes] == expected
+    with pytest.raises(AssertionError, match="unpacked"):
+        rref(M).rows  # a kernel result has no tuple rows until they are read
+
+
+@pytest.mark.parametrize("C", [
+    cyclic_code(defset(5, 4, {1, 4}), F4, splitting_field(4, 5)),
+    cyclic_code(defset(5, 4, {0}), F4, splitting_field(4, 5)),
+    _RS9,
+    cyclic_code(defset(8, 9, {0, 1, 2, 3, 4, 5}), F9, F9),
+])
+def test_min_weight_makes_no_field_multiplication(monkeypatch, C):
+    q0 = 2 if C.field.q == 4 else 3
+    M = frobenius_entrywise(C.G, q0)
+    d, rel = reference_weights(C, M)
+
+    def refuse(*_):
+        raise AssertionError("GF.mul called")
+
+    monkeypatch.setattr(type(C.field), "mul", refuse)
+    assert min_distance_exhaustive(C) == d
+    assert relative_min_weight(C, M, 1 << 22) == rel
+    with pytest.raises(AssertionError, match="GF.mul"):
+        C.field.mul(1, 1)
 
 
 def test_gf9_rank_budget():

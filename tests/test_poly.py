@@ -162,3 +162,21 @@ def test_gcd_divides_both_hypothesis(ac, bc):
         assert a.is_zero and b.is_zero
     else:
         assert P.mod(a, g).is_zero and P.mod(b, g).is_zero
+
+
+@pytest.mark.parametrize("q,n", [(2, 15), (2, 21), (4, 15), (3, 8)])
+def test_generator_is_root_product_for_every_closed_set(q, n):
+    from quenta.defset import coset_closed_subsets
+    from quenta.gf import field_from_order
+    base, ext = field_from_order(q), splitting_field(q, n)
+    for Z in coset_closed_subsets(n, q):
+        assert P.generator_from_defset(Z.elems, n, base, ext) == P._root_product(Z.elems, n, base, ext)
+
+
+def test_generator_refusals_keep_their_text():
+    ext = splitting_field(2, 7)
+    with pytest.raises(ValueError, match=r"^root set \[1, 2\] is not closed under multiplication "
+                                         r"by 2 mod 7: product has coefficients outside GF\(2\)$"):
+        P.generator_from_defset({1, 9}, 7, F2, ext)
+    with pytest.raises(ValueError, match=r"^n = 5 does not divide 7 - 1$"):
+        P.generator_from_defset(set(), 5, F2, field_create(7, 1))
