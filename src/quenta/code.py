@@ -1,38 +1,36 @@
 """Concrete linear codes as matrices over finite fields.
 
 Generator/parity-check pairs built from generator polynomials, exact
-rank/RREF/kernel computations and products, Euclidean and Hermitian duals,
-hull dimensions, and exhaustive minimum distance by meet-in-the-middle
-enumeration of one codeword per projective point.  Everything is exact.
-A matrix over GF(2) is stored as int bitmask rows, the first column in the
-most significant bit, from construction to result: rank, RREF, kernel,
-product (Four Russians tables of the right factor, kept with it), stack and
-transpose never form tuple rows, which are derived only when read.  Over
-other fields row reduction and products use numpy arrays of int64 field
-elements for large matrices and a Python loop over log/antilog lists for
-small ones.  numpy also carries XOR and digit-wise mod-p addition during
-enumeration.
+rank/RREF/kernel computations and products, Hermitian duals, and exhaustive
+minimum distance by meet-in-the-middle enumeration of one codeword per
+projective point.  Everything is exact.
+
+A matrix over GF(2^m), q <= 256, is stored as lane rows from construction to
+result: each row is one int of b-bit lanes (b = 1 for GF(2), 4 up to GF(16),
+8 up to GF(256), so every byte holds whole lanes), the first column in the
+most significant lane.  Adding rows is XOR; scaling a row by a constant, and
+the Frobenius map, translate its bytes through a 256-byte table per constant,
+built lazily per field.  Rank, RREF, kernel, product (Four Russians tables of
+the right factor, kept with it), stack and transpose never form tuple rows,
+which are derived only when read.  Over other fields row reduction and
+products use numpy arrays of int64 field elements for large matrices and a
+Python loop over log/antilog lists for small ones.  numpy also carries XOR
+and digit-wise mod-p addition during enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import xor
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .defset import DefiningSet, defset, euclidean_dual_defset
-from .gf import GF, embedding
-from .poly import (
-    divmod_poly,
-    evaluate,
-    generator_from_defset,
-    poly,
-    x_pow_n_minus_one,
-)
+from .defset import DefiningSet
+from .gf import GF
+from .poly import divmod_poly, generator_from_defset, x_pow_n_minus_one
 
 DEFAULT_DISTANCE_CAP = 1 << 22
 
@@ -44,14 +42,15 @@ class EnumerationCapError(ValueError):
 class Matrix:
     """Immutable matrix over a finite field.
 
-    Over GF(2) the stored form is ``bits``: one int bitmask per row, the first
-    column in the most significant bit, and the tuple ``rows`` are derived from
-    it when first read.  Over other fields ``rows`` are stored and ``bits`` is
-    None.  The constructor validates and packs its input; kernel results are
-    built in the stored form, unchecked, by ``_made``.
+    Over GF(2^m), q <= 256, the stored form is ``lanes``: one int of b-bit
+    lanes per row (see _Lanes), the first column in the most significant lane,
+    and the tuple ``rows`` are derived from it when first read.  Over other
+    fields ``rows`` are stored and ``lanes`` is None.  The constructor
+    validates and packs its input; kernel results are built in the stored
+    form, unchecked, by ``_made``.
     """
 
-    __slots__ = ("field", "ncols", "bits", "_rows", "_transpose", "_row_sums")
+    __slots__ = ("field", "ncols", "lanes", "_rows", "_transpose", "_row_sums")
 
     def __init__(self, field: GF, rows, ncols: int):
         rows = tuple(map(tuple, rows))
@@ -60,23 +59,24 @@ class Matrix:
                 raise ValueError("ragged rows")
             if r and not (0 <= min(r) and max(r) < field.q):
                 raise ValueError("entry outside field")
-        bits = tuple(_pack(rows)) if field.q == 2 else None
-        self.field, self.ncols, self.bits, self._rows = field, ncols, bits, rows
+        L = _lanes(field)
+        lanes = tuple(L.pack(rows)) if L else None
+        self.field, self.ncols, self.lanes, self._rows = field, ncols, lanes, rows
         self._transpose = self._row_sums = None
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         if self._rows is None:
-            self._rows = _unpack(self.bits, self.ncols)
+            self._rows = _lanes(self.field).unpack(self.lanes, self.ncols)
         return self._rows
 
     @property
     def _stored(self) -> tuple:
-        return self._rows if self.bits is None else self.bits
+        return self._rows if self.lanes is None else self.lanes
 
     @property
     def nrows(self) -> int:
-        return len(self._rows if self.bits is None else self.bits)
+        return len(self._rows if self.lanes is None else self.lanes)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -89,34 +89,127 @@ class Matrix:
         return f"Matrix(field={self.field!r}, rows={self.rows!r}, ncols={self.ncols})"
 
     def is_zero(self) -> bool:
-        return not any(self.bits if self.bits is not None else map(any, self._rows))
+        return not any(self.lanes if self.lanes is not None else map(any, self._rows))
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
 
 def _made(field: GF, rows, ncols: int) -> Matrix:
-    """A kernel result in the field's stored form (bitmasks over GF(2)), unchecked."""
+    """A kernel result in the field's stored form (lane rows up to GF(256)), unchecked."""
     M = object.__new__(Matrix)
     M.field, M.ncols, M._transpose, M._row_sums = field, ncols, None, None
-    M.bits, M._rows = (tuple(rows), None) if field.q == 2 else (None, tuple(map(tuple, rows)))
+    if _lanes(field):
+        M.lanes, M._rows = tuple(rows), None
+    else:
+        M.lanes, M._rows = None, tuple(map(tuple, rows))
     return M
 
 
-_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# lane values 0..15 as the digits of a binary or hexadecimal int literal
+_TO_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+_FROM_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def _pack(rows) -> list[int]:
-    """GF(2) rows as int bitmasks, the first column in the most significant bit."""
-    return [int(bytes(r).translate(_TO_BITS) or b"0", 2) for r in rows]
+class _Tables(dict):
+    """Byte translate tables built on first use: self[key] = build(key)."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        table = self[key] = self.build(key)
+        return table
 
 
-def _unpack(bits, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """The tuple rows of GF(2) bitmasks; the inverse of _pack."""
-    fmt = f"0{ncols}b"
-    return tuple(tuple(format(x, fmt).encode().translate(_FROM_BITS)) if ncols else ()
-                 for x in bits)
+class _Lanes:
+    """The lane form of GF(2^m), q <= 256: b bits per entry, b = 1, 4 or 8.
+
+    Entries are their int encodings (polynomial basis), so adding is XOR and
+    the element 2^k is alpha^k.  A row of n entries is an int below
+    2^(n·b), read as ceil(n·b / 8) bytes; a lane above the first column, in
+    the first byte, is padding and stays 0.  The byte translate tables
+    ``times[c]`` (multiply by c), ``over[c]`` (divide by c) and ``power[e]``
+    (raise to e) are built on first use.
+    """
+
+    def __init__(self, F: GF):
+        self.field = F
+        self.b = b = 1 if F.q == 2 else 4 if F.q <= 16 else 8
+        self.mask = (1 << b) - 1
+        self.times = _Tables(lambda c: self.table(lambda v: F.mul(c, v)))
+        self.over = _Tables(lambda c: self.times[F.inv(c)])
+        self.power = _Tables(lambda e: self.table(lambda v: F.pow(v, e)))
+
+    def pack(self, rows) -> list[int]:
+        if self.b == 8:
+            return [int.from_bytes(bytes(r), "big") for r in rows]
+        return [int(bytes(r).translate(_TO_DIGITS) or b"0", 1 << self.b) for r in rows]
+
+    def digits(self, lanes, ncols: int):
+        """Each row's lanes, one per column: bytes for b = 8, else digit strings."""
+        if self.b == 8:
+            return (x.to_bytes(ncols, "big") for x in lanes)
+        fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
+        return (format(x, fmt) if ncols else "" for x in lanes)
+
+    def unpack(self, lanes, ncols: int) -> tuple[tuple[int, ...], ...]:
+        """The tuple rows of lane rows; the inverse of pack."""
+        if self.b == 8:
+            return tuple(map(tuple, self.digits(lanes, ncols)))
+        return tuple(tuple(d.encode().translate(_FROM_DIGITS)) for d in self.digits(lanes, ncols))
+
+    def transpose(self, lanes, ncols: int) -> list[int]:
+        if not lanes:
+            return [0] * ncols
+        columns = zip(*self.digits(lanes, ncols))
+        if self.b == 8:
+            return [int.from_bytes(bytes(c), "big") for c in columns]
+        return [int("".join(c), 1 << self.b) for c in columns]
+
+    def nbytes(self, ncols: int) -> int:
+        return (ncols * self.b + 7) // 8
+
+    def table(self, f) -> bytes:
+        """The byte translate table applying f to every lane of a byte; the padded
+        values q and up, which no lane holds, go to 0."""
+        q, b, mask = self.field.q, self.b, self.mask
+        g = [f(v) if v < q else 0 for v in range(1 << b)]
+        return bytes(sum(g[v >> s & mask] << s for s in range(0, 8, b)) for v in range(256))
+
+    @cached_property
+    def planes(self) -> list[tuple[bytes, bytes | None]]:
+        """For each bit plane k: the byte translate table taking a byte to bit k
+        of each of its lanes, packed from the lowest lane up, and times[alpha^k]
+        (none for k = 0)."""
+        b = self.b
+        return [(bytes(sum((v >> b * i + k & 1) << i for i in range(8 // b)) for v in range(256)),
+                 self.times[1 << k] if k else None) for k in range(self.field.m)]
+
+    def plane_tables(self, lanes) -> list[list[int]]:
+        """For each byte of a lane row over the rows ``lanes``, from the last byte:
+        the XOR of the rows under the byte's lanes selected by every value of
+        one bit plane of the byte (see planes)."""
+        per = 8 // self.b
+        tables = []
+        for s in range(len(lanes), 0, -per):
+            sums = [0]
+            for x in reversed(lanes[max(s - per, 0):s]):
+                sums += [z ^ x for z in sums]
+            tables.append(sums)
+        return tables
+
+
+def _translate(x: int, table: bytes, nbytes: int) -> int:
+    """Lane row x, nbytes bytes long, with every byte translated through table."""
+    return int.from_bytes(x.to_bytes(nbytes, "big").translate(table), "big")
+
+
+@lru_cache(maxsize=None)
+def _lanes(F: GF) -> _Lanes | None:
+    """F's lane form, or None when F's matrices keep tuple rows."""
+    return _Lanes(F) if F.p == 2 and F.q <= 256 else None
 
 
 def matrix(field: GF, rows, ncols: int | None = None) -> Matrix:
@@ -139,8 +232,8 @@ def identity(field: GF, k: int) -> Matrix:
 def transpose(M: Matrix) -> Matrix:
     """M^T, built once per matrix; transposing it back gives M itself."""
     if M._transpose is None:
-        if M.bits is not None:
-            T = _made(M.field, _transpose_gf2(M.bits, M.ncols), M.nrows)
+        if M.lanes is not None:
+            T = _made(M.field, _lanes(M.field).transpose(M.lanes, M.ncols), M.nrows)
         else:
             T = _made(M.field, zip(*M._rows) if M._rows else ((),) * M.ncols, M.nrows)
         M._transpose, T._transpose = T, M
@@ -153,8 +246,8 @@ def product(A: Matrix, B: Matrix) -> Matrix:
         raise ValueError("field mismatch in matrix product")
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
-    if A.bits is not None:
-        return _made(A.field, _product_gf2(A, B), B.ncols)
+    if A.lanes is not None:
+        return _made(A.field, _product_lanes(A, B), B.ncols)
     kernel = _kernel(A.field, max(A.nrows * A.ncols, B.nrows * B.ncols))
     return _made(A.field, kernel.product(A, B), B.ncols)
 
@@ -163,11 +256,10 @@ def product(A: Matrix, B: Matrix) -> Matrix:
 # row reduction and products: one kernel per field shape
 # ----------------------------------------------------------------------
 
-# Matrices over fields other than GF(2) with at least this many entries (rows
-# x cols; for a product, either factor) go through numpy.  Below it numpy's
-# per-call cost outweighs the log-table loop: the loop wins on every GF(4)
-# matrix of a length-15 Hermitian sweep (all below 256 entries), and on the
-# GF(9) matrices of a length-26 one the two tie from 256 to 383 entries.
+# Matrices over fields without a lane form with at least this many entries
+# (rows x cols; for a product, either factor) go through numpy.  Below it
+# numpy's per-call cost outweighs the log-table loop; on the GF(9) matrices of
+# a length-26 Hermitian sweep the two tie from 256 to 383 entries.
 _NUMPY_MIN_ENTRIES = 256
 
 
@@ -194,10 +286,10 @@ def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; deterministic first-nonzero row-major pivoting.
 
     The pivot row's logs are taken once per pivot; clearing a row adds the
-    pivot row times the negated factor (XOR in characteristic 2)."""
+    pivot row times the negated factor."""
     F = M.field
     log, exp = F._log, F._exp
-    q1, char2 = F.q - 1, F.p == 2
+    q1 = F.q - 1
     rows = [list(r) for r in M.rows]
     pivots: list[int] = []
     pr = 0
@@ -217,12 +309,8 @@ def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
             lp = [log[e] for e in piv[pc:]]
         for row in rows:
             if row[pc] and row is not piv:
-                if char2:
-                    lf = log[row[pc]]
-                    row[pc:] = [e ^ exp[lf + lx] for e, lx in zip(row[pc:], lp)]
-                else:
-                    lf = log[F.neg(row[pc])]
-                    row[pc:] = [F.add(e, exp[lf + lx]) for e, lx in zip(row[pc:], lp)]
+                lf = log[F.neg(row[pc])]
+                row[pc:] = [F.add(e, exp[lf + lx]) for e, lx in zip(row[pc:], lp)]
         pivots.append(pc)
         pr += 1
         if pr == len(rows):
@@ -230,62 +318,68 @@ def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _echelon_gf2(bits) -> dict[int, int]:
-    """Rows with distinct leading bits spanning the rows of ``bits``, keyed by
-    bit length: each row is cleared by the rows already kept whose leading bit
-    it has, highest first, until its own leading bit is new or it is zero."""
+def _echelon(M: Matrix) -> dict[int, int]:
+    """Rows with distinct leading lanes spanning the lane rows of M, each with
+    leading coefficient 1 and keyed by its bit length: each row is cleared by
+    the rows already kept whose leading lane it has, highest first, until its
+    own leading lane is new or it is zero.  A row whose leading coefficient is
+    not 1 has a bit length that no kept row has; it is scaled to 1 and looked
+    up again.  Over GF(2) every coefficient is 1 and the loop only XORs."""
+    L = _lanes(M.field)
+    b, nb, over = L.b, L.nbytes(M.ncols), L.over
     lead: dict[int, int] = {}
-    for x in bits:
+    for x in M.lanes:
         while x:
             top = x.bit_length()
             y = lead.get(top)
-            if y is None:
+            if y is not None:
+                x ^= y
+                continue
+            c = x >> (top - 1) // b * b
+            if c == 1:
                 lead[top] = x
                 break
-            x ^= y
+            x = int.from_bytes(x.to_bytes(nb, "big").translate(over[c]), "big")  # _translate, inlined
     return lead
 
 
-def _rref_gf2(bits, ncols: int) -> tuple[list[int], list[int]]:
-    """GF(2) RREF from the echelon rows: each row, from the lowest leading bit
-    up, is cleared of the leading bits of the (reduced) rows below it.  x ^ y
-    is below x exactly when x has y's leading bit."""
-    reduced: list[int] = []
-    for x in sorted(_echelon_gf2(bits).values()):
-        for y in reduced:
-            x = min(x, x ^ y)
-        reduced.append(x)
+def _rref_lanes(M: Matrix) -> tuple[list[int], list[int]]:
+    """RREF from the echelon rows: each row, from the lowest leading lane up, is
+    cleared at the leading lanes of the (reduced) rows below it."""
+    L = _lanes(M.field)
+    b, mask, nb, times = L.b, L.mask, L.nbytes(M.ncols), L.times
+    reduced: list[tuple[int, int]] = []
+    for top, x in sorted(_echelon(M).items()):
+        for s, y in reduced:
+            c = x >> s & mask
+            if c:
+                x ^= y if c == 1 else _translate(y, times[c], nb)
+        reduced.append((top - 1, x))
     reduced.reverse()
-    pivots = [ncols - x.bit_length() for x in reduced]
-    return reduced + [0] * (len(bits) - len(reduced)), pivots
+    pivots = [M.ncols - 1 - s // b for s, _ in reduced]
+    return [x for _, x in reduced] + [0] * (M.nrows - len(reduced)), pivots
 
 
-def _product_gf2(A: Matrix, B: Matrix) -> list[int]:
-    """Rows of A·B over GF(2) by the Four Russians method (as in M4RI, Albrecht,
-    Bard & Hart): B keeps, for each run of 8 of its rows from the last, the XOR
-    of every subset of the run, and each row of A picks one per 8 of its bits."""
+def _product_lanes(A: Matrix, B: Matrix) -> list[int]:
+    """Lane rows of A·B by bit planes and the Four Russians method (as in M4RI,
+    Albrecht, Bard & Hart).  A = sum of alpha^k A_k with each A_k over GF(2), so
+    row i of A·B is the sum of alpha^k times the XOR of the rows of B that row
+    i of A_k selects.  B keeps its plane tables (see _Lanes.plane_tables), and
+    each row of A picks one per byte of each plane."""
+    L = _lanes(A.field)
     if B._row_sums is None:
-        B._row_sums = []
-        for s in range(B.nrows, 0, -8):
-            sums = [0]
-            for r in reversed(B.bits[max(s - 8, 0):s]):
-                sums += [x ^ r for x in sums]
-            B._row_sums.append(sums)
-    out = []
-    for a in A.bits:
+        B._row_sums = L.plane_tables(B.lanes)
+    tables, nb, out = B._row_sums, L.nbytes(B.ncols), []
+    for a in A.lanes:
         acc = 0
-        for sums in B._row_sums:
-            acc ^= sums[a & 255]
-            a >>= 8
+        for plane, times in L.planes:
+            x, s = a, 0
+            for sums in tables:
+                s ^= sums[plane[x & 255]]
+                x >>= 8
+            acc ^= _translate(s, times, nb) if times and s else s
         out.append(acc)
     return out
-
-
-def _transpose_gf2(bits, ncols: int) -> list[int]:
-    if not bits or not ncols:
-        return [0] * ncols
-    fmt = f"0{ncols}b"
-    return [int("".join(col), 2) for col in zip(*(format(x, fmt) for x in bits))]
 
 
 class _ArrayField:
@@ -375,14 +469,14 @@ _LOOP_KERNEL = _Kernel(_rref_loop, _product_loop)
 
 
 def _kernel(F: GF, entries: int) -> _Kernel:
-    """Over fields other than GF(2): numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
+    """Over fields without a lane form: numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
     return _NUMPY_KERNEL if entries >= _NUMPY_MIN_ENTRIES else _LOOP_KERNEL
 
 
 def _rref_rows(M: Matrix) -> tuple[list, list[int]]:
-    """(RREF rows in M's stored form, pivot columns); GF(2) bitmasks never unpack."""
-    if M.bits is not None:
-        return _rref_gf2(M.bits, M.ncols)
+    """(RREF rows in M's stored form, pivot columns); lane rows never unpack."""
+    if M.lanes is not None:
+        return _rref_lanes(M)
     return _kernel(M.field, M.nrows * M.ncols).rref(M)
 
 
@@ -392,8 +486,8 @@ def rref(M: Matrix) -> Matrix:
 
 
 def rank(M: Matrix) -> int:
-    if M.bits is not None:
-        return len(_echelon_gf2(M.bits))
+    if M.lanes is not None:
+        return len(_echelon(M))
     _, pivots = _rref_rows(M)
     return len(pivots)
 
@@ -411,10 +505,14 @@ def kernel_basis(M: Matrix) -> Matrix:
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
+    L = _lanes(F)
     for f in free_cols:
-        if M.bits is not None:
-            bit = 1 << (n - 1 - f)
-            v = bit | sum(1 << (n - 1 - pc) for r, pc in zip(rows, pivots) if r & bit)
+        if L:
+            # -x = x in characteristic 2: column f of the RREF, moved to the pivot lanes
+            s = (n - 1 - f) * L.b
+            v = 1 << s
+            for r, pc in zip(rows, pivots):
+                v |= (r >> s & L.mask) << (n - 1 - pc) * L.b
         else:
             v = [0] * n
             v[f] = 1
@@ -428,6 +526,10 @@ def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
     F = M.field
     if F.q != q0 * q0:
         raise ValueError(f"field of size {F.q} is not GF({q0}^2)")
+    if M.lanes is not None:
+        L = _lanes(F)
+        nb, table = L.nbytes(M.ncols), L.power[q0]
+        return _made(F, [_translate(x, table, nb) for x in M.lanes], M.ncols)
     frob = {e: F.pow(e, q0) for e in set(chain.from_iterable(M.rows))}
     return _made(F, (map(frob.__getitem__, r) for r in M.rows), M.ncols)
 
@@ -467,13 +569,6 @@ class LinearCode:
         return self.G.nrows
 
 
-def code_from_rows(field: GF, rows, n: int, origin: DefiningSet | None = None) -> LinearCode:
-    """The code spanned by the given rows; G and H in canonical RREF form."""
-    G = row_space_basis(matrix(field, rows, n) if rows else zero_matrix(field, 0, n))
-    H = kernel_basis(G)
-    return LinearCode(field, n, G, H, origin)
-
-
 def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:
     """The cyclic code over ``base`` with defining set Z, via its generator polynomial."""
     n = Z.n
@@ -492,43 +587,10 @@ def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:
     return LinearCode(base, n, G, H, Z)
 
 
-def dual_code(C: LinearCode) -> LinearCode:
-    """Euclidean dual: the parity-check matrix becomes the generator."""
-    return LinearCode(C.field, C.n, C.H, C.G, None)
-
-
 def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
     """{x : x . c^q0 = 0 for all c in C} over GF(q0^2); its parity check is C's G^q0."""
     Gf = frobenius_entrywise(C.G, q0)
     return LinearCode(C.field, C.n, kernel_basis(Gf), Gf, None)
-
-
-def intersection_dim_matrices(A: Matrix, B: Matrix) -> int:
-    """dim(rowspace(A) ∩ rowspace(B)) by the rank identity."""
-    return rank(A) + rank(B) - rank(stack(A, B))
-
-
-def hull_dim(C: LinearCode) -> int:
-    """dim(C ∩ C^dual)."""
-    return intersection_dim_matrices(C.G, C.H)
-
-
-def hermitian_hull_dim(C: LinearCode, q0: int) -> int:
-    """dim(C ∩ C^perp_h) over GF(q0^2)."""
-    return intersection_dim_matrices(C.G, hermitian_dual_code(C, q0).G)
-
-
-def defining_set_of(C: LinearCode, ext: GF) -> DefiningSet:
-    """{i : every generator row, read as a polynomial, vanishes at beta^i}."""
-    n = C.n
-    beta = ext.nth_root_of_unity(n)
-    row_polys = [poly(C.field, r) for r in C.G.rows]
-    out = []
-    for i in range(n):
-        x = ext.pow(beta, i)
-        if all(evaluate(p, x, ext) == 0 for p in row_polys):
-            out.append(i)
-    return defset(n, C.field.q, out)
 
 
 # ----------------------------------------------------------------------

@@ -131,15 +131,23 @@ def coset_partition(n: int, q: int) -> CosetPartition:
     return CosetPartition(n, q, tuple(cosets))
 
 
-def coset_closed_subsets(n: int, q: int):
-    """All coset-closed subsets of Z_n under q, in a stable order."""
+def coset_closed_subsets(n: int, q: int, a: int = 1):
+    """The coset-closed subsets Z of Z_n under q with aZ = Z, for a prime to n:
+    the unions of the orbits of the cosets under multiplication by a (every
+    subset for a = 1), in the order of their masks over the cosets."""
     cosets = coset_partition(n, q).cosets
-    for mask in range(1 << len(cosets)):
-        elems: set[int] = set()
-        for i, cs in enumerate(cosets):
-            if mask >> i & 1:
-                elems |= cs.as_set()
-        yield defset(n, q, elems)
+    index = {i: j for j, cs in enumerate(cosets) for i in cs.elems}
+    masks, seen = [0], 0
+    for j in range(len(cosets)):
+        orbit, k = 0, j
+        while not (seen | orbit) >> k & 1:
+            orbit |= 1 << k
+            k = index[a * cosets[k].elems[0] % n]
+        seen |= orbit
+        if orbit:
+            masks += [m | orbit for m in masks]
+    for mask in sorted(masks):
+        yield defset(n, q, (i for j, cs in enumerate(cosets) if mask >> j & 1 for i in cs.elems))
 
 
 @lru_cache(maxsize=_DEFSET_MEMO_SIZE)

@@ -161,6 +161,7 @@ class GF:
         if not _is_primitive(list(self.modulus), p):
             raise ValueError(f"modulus {self.modulus} is reducible or not primitive over GF({p})")
         self._build_tables()
+        self._hash = hash(self.key)  # fields key every memo: hash once
 
     @property
     def key(self):
@@ -170,7 +171,7 @@ class GF:
         return isinstance(other, GF) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"

@@ -41,8 +41,6 @@ from .defset import (
     euclidean_dual_defset,
     hermitian_dual_defset,
     intersection_dim,
-    is_lcd_euclidean,
-    is_lcd_hermitian,
 )
 from .gf import GF, field_create, prime_power, splitting_field
 
@@ -341,10 +339,12 @@ def _rs_length(q: int, n: int | None) -> int:
     return q - 1 if n is None else n
 
 
-def _subsets(n: int | None, base: int) -> list[DefiningSet]:
+def _subsets(n: int | None, base: int, a: int = 1) -> list[DefiningSet]:
+    """The coset-closed subsets Z under base with aZ = Z: the LCD sets are those
+    with -Z = Z (Euclidean) or -qZ = Z (Hermitian), Yang & Massey 1994."""
     if n is None:
         raise ValueError("family needs n")
-    return list(coset_closed_subsets(n, base))
+    return list(coset_closed_subsets(n, base, a))
 
 
 def _euclid_pair_grid(q, n, **_):
@@ -355,9 +355,8 @@ def _euclid_pair_grid(q, n, **_):
 
 
 def _euclid_lcd_grid(q, n, **_):
-    for Z in _subsets(n, q):
-        if is_lcd_euclidean(Z):
-            yield cons.euclid_lcd(Z, bch_bound(Z), LOWER_BOUND)
+    for Z in _subsets(n, q, -1):
+        yield cons.euclid_lcd(Z, bch_bound(Z), LOWER_BOUND)
 
 
 def _rs_euclid_grid(q, n, **_):
@@ -390,9 +389,8 @@ def _hermitian_grid(q, n, **_):
 
 
 def _hermitian_lcd_grid(q, n, **_):
-    for Z in _subsets(n, q * q):
-        if is_lcd_hermitian(Z):
-            yield cons.hermitian_lcd(q, Z, bch_bound(Z), LOWER_BOUND)
+    for Z in _subsets(n, q * q, -q):
+        yield cons.hermitian_lcd(q, Z, bch_bound(Z), LOWER_BOUND)
 
 
 def _rs_hermit_grid(q, **_):

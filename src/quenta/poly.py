@@ -72,34 +72,9 @@ def one(field: GF) -> Poly:
     return Poly(field, (1,))
 
 
-def x_pow(field: GF, e: int, scale: int = 1) -> Poly:
-    """scale * x^e."""
-    if scale == 0:
-        return zero(field)
-    return Poly(field, (0,) * e + (scale,))
-
-
 def _check_same_field(a: Poly, b: Poly):
     if a.field != b.field:
         raise ValueError(f"field mismatch: {a.field!r} vs {b.field!r}")
-
-
-def add(a: Poly, b: Poly) -> Poly:
-    _check_same_field(a, b)
-    F = a.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return poly(F, [F.add(x, y) for x, y in zip(ca, cb)])
-
-
-def sub(a: Poly, b: Poly) -> Poly:
-    _check_same_field(a, b)
-    F = a.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return poly(F, [F.sub(x, y) for x, y in zip(ca, cb)])
 
 
 def mul(a: Poly, b: Poly) -> Poly:
@@ -115,11 +90,6 @@ def mul(a: Poly, b: Poly) -> Poly:
             if bj:
                 out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     return poly(F, out)
-
-
-def scale(a: Poly, s: int) -> Poly:
-    F = a.field
-    return poly(F, [F.mul(c, s) for c in a.coeffs])
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -142,53 +112,6 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             if bj:
                 rem[i + j] = F.sub(rem[i + j], F.mul(factor, bj))
     return poly(F, quot), poly(F, rem)
-
-
-def mod(a: Poly, b: Poly) -> Poly:
-    return divmod_poly(a, b)[1]
-
-
-def monic(a: Poly) -> Poly:
-    if a.is_zero() or a.is_monic():
-        return a
-    return scale(a, a.field.inv(a.coeffs[-1]))
-
-
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) is 0."""
-    _check_same_field(a, b)
-    while not b.is_zero():
-        a, b = b, mod(a, b)
-    return monic(a)
-
-
-def lcm(a: Poly, b: Poly) -> Poly:
-    _check_same_field(a, b)
-    if a.is_zero() or b.is_zero():
-        return zero(a.field)
-    g = gcd(a, b)
-    q, r = divmod_poly(mul(a, b), g)
-    assert r.is_zero()
-    return monic(q)
-
-
-def lcm_many(polys) -> Poly:
-    return reduce(lcm, polys)
-
-
-def evaluate(f: Poly, x: int, ext: GF | None = None) -> int:
-    """f(x) by Horner's rule; x may live in an extension of f's field."""
-    F = f.field
-    if ext is None or ext == F:
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-    emb = embedding(F, ext)
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = ext.add(ext.mul(acc, x), emb.up(c))
-    return acc
 
 
 def x_pow_n_minus_one(field: GF, n: int) -> Poly:
@@ -239,12 +162,3 @@ def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
         raise AssertionError("degree of generator must equal |Z|")
     return g
 
-
-def defset_from_generator(g: Poly, n: int, ext: GF) -> frozenset[int]:
-    """{i in Z_n : g(beta^i) = 0}; inverse of generator_from_defset."""
-    base = g.field
-    _, r = divmod_poly(x_pow_n_minus_one(base, n), g)
-    if not r.is_zero():
-        raise ValueError(f"generator does not divide x^{n} - 1")
-    beta = ext.nth_root_of_unity(n)
-    return frozenset(i for i in range(n) if evaluate(g, ext.pow(beta, i), ext) == 0)

@@ -1,0 +1,146 @@
+"""Functions that only the tests call: code and polynomial constructions
+that cross-check the package's own results."""
+
+from functools import reduce
+
+from quenta.code import (
+    LinearCode,
+    Matrix,
+    hermitian_dual_code,
+    kernel_basis,
+    matrix,
+    rank,
+    row_space_basis,
+    stack,
+    zero_matrix,
+)
+from quenta.defset import DefiningSet, defset
+from quenta.gf import GF, embedding
+from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n_minus_one, zero
+
+
+def code_from_rows(field: GF, rows, n: int, origin: DefiningSet | None = None) -> LinearCode:
+    """The code spanned by the given rows; G and H in canonical RREF form."""
+    G = row_space_basis(matrix(field, rows, n) if rows else zero_matrix(field, 0, n))
+    H = kernel_basis(G)
+    return LinearCode(field, n, G, H, origin)
+
+
+def dual_code(C: LinearCode) -> LinearCode:
+    """Euclidean dual: the parity-check matrix becomes the generator."""
+    return LinearCode(C.field, C.n, C.H, C.G, None)
+
+
+def intersection_dim_matrices(A: Matrix, B: Matrix) -> int:
+    """dim(rowspace(A) ∩ rowspace(B)) by the rank identity."""
+    return rank(A) + rank(B) - rank(stack(A, B))
+
+
+def hull_dim(C: LinearCode) -> int:
+    """dim(C ∩ C^dual)."""
+    return intersection_dim_matrices(C.G, C.H)
+
+
+def hermitian_hull_dim(C: LinearCode, q0: int) -> int:
+    """dim(C ∩ C^perp_h) over GF(q0^2)."""
+    return intersection_dim_matrices(C.G, hermitian_dual_code(C, q0).G)
+
+
+def defining_set_of(C: LinearCode, ext: GF) -> DefiningSet:
+    """{i : every generator row, read as a polynomial, vanishes at beta^i}."""
+    n = C.n
+    beta = ext.nth_root_of_unity(n)
+    row_polys = [poly(C.field, r) for r in C.G.rows]
+    out = []
+    for i in range(n):
+        x = ext.pow(beta, i)
+        if all(evaluate(p, x, ext) == 0 for p in row_polys):
+            out.append(i)
+    return defset(n, C.field.q, out)
+
+
+def x_pow(field: GF, e: int, scale: int = 1) -> Poly:
+    """scale * x^e."""
+    if scale == 0:
+        return zero(field)
+    return Poly(field, (0,) * e + (scale,))
+
+
+def lcm_many(polys) -> Poly:
+    return reduce(lcm, polys)
+
+
+def defset_from_generator(g: Poly, n: int, ext: GF) -> frozenset[int]:
+    """{i in Z_n : g(beta^i) = 0}; inverse of generator_from_defset."""
+    base = g.field
+    _, r = divmod_poly(x_pow_n_minus_one(base, n), g)
+    if not r.is_zero():
+        raise ValueError(f"generator does not divide x^{n} - 1")
+    beta = ext.nth_root_of_unity(n)
+    return frozenset(i for i in range(n) if evaluate(g, ext.pow(beta, i), ext) == 0)
+
+
+def add(a: Poly, b: Poly) -> Poly:
+    _check_same_field(a, b)
+    F = a.field
+    n = max(len(a.coeffs), len(b.coeffs))
+    ca = a.coeffs + (0,) * (n - len(a.coeffs))
+    cb = b.coeffs + (0,) * (n - len(b.coeffs))
+    return poly(F, [F.add(x, y) for x, y in zip(ca, cb)])
+
+
+def sub(a: Poly, b: Poly) -> Poly:
+    _check_same_field(a, b)
+    F = a.field
+    n = max(len(a.coeffs), len(b.coeffs))
+    ca = a.coeffs + (0,) * (n - len(a.coeffs))
+    cb = b.coeffs + (0,) * (n - len(b.coeffs))
+    return poly(F, [F.sub(x, y) for x, y in zip(ca, cb)])
+
+
+def scale(a: Poly, s: int) -> Poly:
+    F = a.field
+    return poly(F, [F.mul(c, s) for c in a.coeffs])
+
+
+def mod(a: Poly, b: Poly) -> Poly:
+    return divmod_poly(a, b)[1]
+
+
+def monic(a: Poly) -> Poly:
+    if a.is_zero() or a.is_monic():
+        return a
+    return scale(a, a.field.inv(a.coeffs[-1]))
+
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor; gcd(0, 0) is 0."""
+    _check_same_field(a, b)
+    while not b.is_zero():
+        a, b = b, mod(a, b)
+    return monic(a)
+
+
+def lcm(a: Poly, b: Poly) -> Poly:
+    _check_same_field(a, b)
+    if a.is_zero() or b.is_zero():
+        return zero(a.field)
+    g = gcd(a, b)
+    q, r = divmod_poly(mul(a, b), g)
+    assert r.is_zero()
+    return monic(q)
+
+
+def evaluate(f: Poly, x: int, ext: GF | None = None) -> int:
+    """f(x) by Horner's rule; x may live in an extension of f's field."""
+    F = f.field
+    if ext is None or ext == F:
+        acc = 0
+        for c in reversed(f.coeffs):
+            acc = F.add(F.mul(acc, x), c)
+        return acc
+    emb = embedding(F, ext)
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = ext.add(ext.mul(acc, x), emb.up(c))
+    return acc

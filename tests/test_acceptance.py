@@ -11,10 +11,7 @@ from quenta import constructions as cons
 from quenta.cli import main
 from quenta.code import (
     cyclic_code,
-    defining_set_of,
-    dual_code,
     hermitian_dual_code,
-    intersection_dim_matrices,
     min_distance_exhaustive,
 )
 from quenta.defset import (
@@ -30,6 +27,8 @@ from quenta.oracle import (
     entanglement_rank_hermitian,
     instances,
 )
+
+from helpers import defining_set_of, dual_code, intersection_dim_matrices
 
 
 def test_criterion_1_euclidean_duality_and_intersections():

@@ -8,19 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenta import code as code_module
+from quenta.cli import main
 from quenta.code import (
     EnumerationCapError,
     Matrix,
-    code_from_rows,
     cyclic_code,
-    defining_set_of,
-    dual_code,
     frobenius_entrywise,
     hermitian_dual_code,
-    hermitian_hull_dim,
-    hull_dim,
     identity,
-    intersection_dim_matrices,
     kernel_basis,
     matrix,
     min_distance_exhaustive,
@@ -42,7 +37,20 @@ from quenta.defset import (
     intersection_dim,
 )
 from quenta.gf import field_create, field_from_order, splitting_field
-from quenta.oracle import entanglement_rank_euclid, relative_min_weight
+from quenta.oracle import (
+    entanglement_rank_euclid,
+    entanglement_rank_hermitian,
+    relative_min_weight,
+)
+
+from helpers import (
+    code_from_rows,
+    defining_set_of,
+    dual_code,
+    hermitian_hull_dim,
+    hull_dim,
+    intersection_dim_matrices,
+)
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -397,10 +405,12 @@ def test_log_tables_multiply_with_zero(F):
         assert [exp[log[a] + log[b]] for b in range(F.q)] == [F.mul(a, b) for b in range(F.q)]
 
 
-# fields of every kernel shape: GF(2) bitmasks; characteristic 2, prime and
-# odd extension fields on the loop and numpy paths, small and large (GF(2^10),
-# GF(3^6))
-_KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 10), field_create(3, 6))
+# fields of every kernel shape: lane rows of 1 bit (GF(2)), 4 bits (GF(4),
+# GF(8) with a padded value range, GF(16)) and 8 bits (GF(32), GF(256));
+# prime and odd extension fields, and GF(2^10) past the lanes, on the loop and
+# numpy paths, small and large (GF(2^10), GF(3^6))
+_KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 5), field_create(2, 8),
+                  field_create(2, 10), field_create(3, 6))
 
 
 @st.composite
@@ -456,7 +466,7 @@ def test_kernels_match_reference_loop(case):
     M, B = case
     expected = reference_outputs(M, B)
     got = [_kernel_outputs(M, B)]
-    if M.field.q != 2:  # GF(2) bitmask rows never route through _kernel
+    if M.lanes is None:  # lane rows never route through _kernel
         got += [_on_kernel(code_module._LOOP_KERNEL, M, B),
                 _on_kernel(code_module._NUMPY_KERNEL, M, B)]
     for outputs in got:
@@ -477,6 +487,12 @@ def test_kernels_match_reference_loop(case):
         assert (T.nrows, T.ncols) == (R.ncols, R.nrows) and transpose(T) == R
         assert T == Matrix(R.field, T.rows, T.ncols)
     assert stack(M, rref(M)).rows == M.rows + expected[0]
+    assert transpose(M).rows == (tuple(zip(*M.rows)) if M.rows else ((),) * M.ncols)
+    L = code_module._lanes(M.field)
+    if L:  # every translate table sends the padded lane values (q and up) to 0
+        padded = [(v, s) for v in range(256) for s in range(0, 8, L.b) if v >> s & L.mask >= L.field.q]
+        for table in itertools.chain(L.times.values(), L.power.values()):
+            assert not any(table[v] >> s & L.mask for v, s in padded)
 
 
 def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
@@ -484,15 +500,38 @@ def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
     codes = [cyclic_code(Z, F2, ext) for Z in closed_subsets(15, 2)]
     M = matrix(F2, [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0)])
     expected = [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes]
+    # Hermitian ranks over GF(4) and GF(16) run on 4-bit lane rows
+    hermitian = [(cyclic_code(Z, F, splitting_field(F.q, n)), q0)
+                 for F, q0, n in ((F4, 2, 15), (F16, 4, 5))
+                 for Z in closed_subsets(n, F.q)]
+    expected_hermitian = [entanglement_rank_hermitian(C, q0) for C, q0 in hermitian]
+    assert expected_hermitian == [C.H.nrows - hermitian_hull_dim(C, q0) for C, q0 in hermitian]
 
     def refuse(*_):
-        raise AssertionError("GF(2) rows unpacked")
+        raise AssertionError("lane rows unpacked")
 
-    monkeypatch.setattr(code_module, "_unpack", refuse)
+    monkeypatch.setattr(code_module._Lanes, "unpack", refuse)
     assert rank(M) == 2 and rank(rref(M)) == 2 and rank(kernel_basis(M)) == 2
     assert [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes] == expected
+    assert [entanglement_rank_hermitian(C, q0) for C, q0 in hermitian] == expected_hermitian
     with pytest.raises(AssertionError, match="unpacked"):
         rref(M).rows  # a kernel result has no tuple rows until they are read
+
+
+def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):
+    # every matrix over GF(2^m), q <= 256, stays in lane form: none reaches the
+    # loop or numpy kernels (_rref_loop, _rref_numpy and their products)
+    kernel = code_module._kernel
+
+    def guarded(F, entries):
+        assert not (F.p == 2 and F.q <= 256), f"{F!r} reached the row kernels"
+        return kernel(F, entries)
+
+    monkeypatch.setattr(code_module, "_kernel", guarded)
+    for argv in (["verify", "--family", "hermitian-lcd", "--q", "2", "--n", "15"],
+                 ["verify", "--family", "hermitian", "--q", "4", "--n", "5"]):
+        assert main(argv) == 0
+    assert "0 failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("C", [

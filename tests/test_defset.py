@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from quenta.defset import (
     bch_bound,
+    coset_closed_subsets,
     coset_closure,
     coset_partition,
     cyclotomic_coset,
@@ -129,6 +130,24 @@ def test_lcd_predicates():
     Z = defset(5, 4, {1, 4})
     assert not is_lcd_hermitian(Z)
     assert intersection_dim(Z, hermitian_dual_defset(Z)) == 2
+
+
+@pytest.mark.parametrize("lcd, q, n", [
+    ("hermitian", 2, 15), ("hermitian", 4, 15), ("hermitian", 2, 5), ("hermitian", 3, 26),
+    ("hermitian", 3, 10), ("hermitian", 2, 21),
+    ("euclidean", 2, 15), ("euclidean", 2, 63), ("euclidean", 3, 13), ("euclidean", 2, 31),
+    ("euclidean", 5, 12),
+])
+def test_lcd_sets_are_orbit_unions(lcd, q, n):
+    # the LCD grids enumerate the unions of orbits under -q (cosets under q^2)
+    # or -1 (cosets under q); filtering every closed set by the predicate must
+    # give the same sets in the same order
+    if lcd == "hermitian":
+        base, a, is_lcd = q * q, -q, is_lcd_hermitian
+    else:
+        base, a, is_lcd = q, -1, is_lcd_euclidean
+    expected = [Z for Z in coset_closed_subsets(n, base) if is_lcd(Z)]
+    assert list(coset_closed_subsets(n, base, a)) == expected
 
 
 def test_rs_defsets():

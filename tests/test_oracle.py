@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from quenta import constructions as cons
@@ -6,7 +8,6 @@ from quenta import code as code_module
 from quenta import oracle
 from quenta.code import (
     cyclic_code,
-    hermitian_hull_dim,
     matrix,
     min_distance_exhaustive,
     zero_matrix,
@@ -23,6 +24,8 @@ from quenta.oracle import (
     sweep,
     verify_instance,
 )
+
+from helpers import hermitian_hull_dim
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -348,3 +351,54 @@ def test_sweep_li_lcd_all_pass():
 
 def test_sweep_is_deterministic():
     assert sweep("bch-euclid", 3) == sweep("bch-euclid", 3)
+
+
+# the ten verify invocations of the criterion-9 set: (family, q, n, m)
+_VERIFY_MIX = (
+    ("bch-euclid", 3, None, None), ("rs-euclid", 7, None, None), ("rs-mds", 7, None, None),
+    ("rs-hermit", 4, None, None), ("bch-hermit", 3, None, None), ("li-lcd", 2, None, 3),
+    ("euclid-pair", 2, 7, None), ("euclid-lcd", 2, 15, None), ("hermitian", 2, 5, None),
+    ("hermitian-lcd", 2, 5, None),
+)
+
+
+def _perturbed(p, report):
+    """(name, claim, rows that must catch it) for each wrong claim derived from
+    p that is still well-formed: k + 1, c + 1, (k + 1, c - 1), and an exact d
+    one above the measured (or, where d was not measured, the claimed) d."""
+    def claim(k, c, **kw):
+        if not (0 <= k <= p.n and 0 <= c <= p.n):
+            return None
+        return dataclasses.replace(p, k=k, c=c, maximal_entanglement=c == p.n - k, **kw)
+
+    d_row = next(r for r in report.rows if r.name == "d")
+    d = (d_row.measured if d_row.measured is not None else p.d) + 1
+    for name, wrong, rows in (("k+1", claim(p.k + 1, p.c), {"k"}),
+                              ("c+1", claim(p.k, p.c + 1), {"c"}),
+                              ("k+1,c-1", claim(p.k + 1, p.c - 1), {"k", "c"}),
+                              ("d", claim(p.k, p.c, d=d, d_kind=cons.EXACT), {"d"})):
+        if wrong is not None:
+            yield name, wrong, rows
+
+
+# (family, perturbation) whose wrong claims are not refuted, because a row they
+# change is skipped: li-lcd measures neither k nor d, and rs-hermit and
+# bch-hermit (n = 80) do not measure d.  This list may only shrink.
+_NOT_MEASURED = {("li-lcd", "k+1,c-1"), ("li-lcd", "d"), ("rs-hermit", "d"), ("bch-hermit", "d")}
+
+
+def test_perturbed_claims_are_refuted_or_not_measured():
+    # every instance of the ten criterion-9 verify invocations passes; with its
+    # claim made wrong four ways it must give a failed row, and where it does
+    # not, a row for what changed must say that it was not measured
+    unrefuted = set()
+    for family, q, n, m in _VERIFY_MIX:
+        for p in oracle.instances(family, q, n=n, m=m):
+            report = verify_instance(p)
+            assert report.passed
+            for name, wrong, names in _perturbed(p, report):
+                wrong_report = verify_instance(wrong)
+                if wrong_report.passed:
+                    assert any(r.kind == SKIPPED for r in wrong_report.rows if r.name in names)
+                    unrefuted.add((family, name))
+    assert unrefuted <= _NOT_MEASURED
