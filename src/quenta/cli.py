@@ -30,18 +30,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plain(value):
-    """JSON-friendly copy of an inputs-echo value, sets sorted for stability."""
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
+    """JSON-friendly copy of an inputs-echo value: an int, or a tuple as a list."""
     if isinstance(value, tuple):
         return list(value)
     return value
 
 
 def _flat(value) -> str:
-    """CSV cell form of an inputs-echo value; sets join with semicolons."""
-    if isinstance(value, (frozenset, set)):
-        return ";".join(str(v) for v in sorted(value))
+    """Text form of an inputs-echo value; a tuple joins with semicolons."""
     if isinstance(value, tuple):
         return ";".join(str(v) for v in value)
     return str(value)
@@ -164,8 +160,7 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None, single: bool = False
 # ----------------------------------------------------------------------
 
 def cmd_cosets(args) -> int:
-    part = coset_partition(args.n, args.q)
-    cosets = [sorted(c.as_set()) for c in part.cosets]
+    cosets = [list(c.elems) for c in coset_partition(args.n, args.q)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("leader", "size", "elements"))

@@ -395,10 +395,6 @@ class _ArrayField:
             self.half = self.q1 // 2  # alpha^half = -1
             self.zech = np.array(F._zech, dtype=np.int64)
 
-    def scale(self, row, s: int):
-        """row * s for a nonzero scalar s."""
-        return self.exp[self.log[row] + self.log[s]]
-
     def sub_outer(self, a, f, P):
         """a - f ⊗ P for a column f of nonzero scalars and a row P."""
         if self.p == 2 or self.m == 1:
@@ -433,7 +429,7 @@ def _rref_numpy(M: Matrix) -> tuple[list[list[int]], list[int]]:
             A[[pr, r]] = A[[r, pr]]
         inv = F.inv(int(A[pr, pc]))
         if inv != 1:
-            A[pr, pc:] = ops.scale(A[pr, pc:], inv)
+            A[pr, pc:] = ops.exp[ops.log[A[pr, pc:]] + ops.log[inv]]
         hit = np.flatnonzero(A[:, pc])
         hit = hit[hit != pr]
         if hit.size:

@@ -40,9 +40,6 @@ class DefiningSet:
     def __iter__(self):
         return iter(self.elems)
 
-    def __contains__(self, i):
-        return i in set(self.elems)
-
     def as_set(self) -> frozenset[int]:
         return frozenset(self.elems)
 
@@ -53,9 +50,6 @@ class DefiningSet:
     def intersection(self, other: DefiningSet) -> DefiningSet:
         self._check_compatible(other)
         return defset(self.n, self.q, set(self.elems) & set(other.elems))
-
-    def complement(self) -> DefiningSet:
-        return defset(self.n, self.q, set(range(self.n)) - set(self.elems))
 
     def is_coset_closed(self) -> bool:
         return _is_coset_closed(self)
@@ -98,27 +92,9 @@ def coset_closure(seeds, n: int, q: int) -> DefiningSet:
     return defset(n, q, out)
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """All cyclotomic cosets of Z_n under base q, keyed by minimal representative."""
-
-    n: int
-    q: int
-    cosets: tuple[DefiningSet, ...]
-
-    def leaders(self) -> tuple[int, ...]:
-        return tuple(c.elems[0] for c in self.cosets)
-
-    def coset_of(self, i: int) -> DefiningSet:
-        i %= self.n
-        for c in self.cosets:
-            if i in c.as_set():
-                return c
-        raise KeyError(i)
-
-
-def coset_partition(n: int, q: int) -> CosetPartition:
-    if math.gcd(n, q) != 1:
+def coset_partition(n: int, q: int) -> tuple[DefiningSet, ...]:
+    """All cyclotomic cosets of Z_n under base q, in the order of their least elements."""
+    if math.gcd(n, q) != 1:  # also for n <= 0, where no coset is built
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1 for n = {n}, q = {q}")
     seen: set[int] = set()
     cosets = []
@@ -128,14 +104,14 @@ def coset_partition(n: int, q: int) -> CosetPartition:
         c = cyclotomic_coset(i, n, q)
         seen |= c.as_set()
         cosets.append(c)
-    return CosetPartition(n, q, tuple(cosets))
+    return tuple(cosets)
 
 
 def coset_closed_subsets(n: int, q: int, a: int = 1):
     """The coset-closed subsets Z of Z_n under q with aZ = Z, for a prime to n:
     the unions of the orbits of the cosets under multiplication by a (every
     subset for a = 1), in the order of their masks over the cosets."""
-    cosets = coset_partition(n, q).cosets
+    cosets = coset_partition(n, q)
     index = {i: j for j, cs in enumerate(cosets) for i in cs.elems}
     masks, seen = [0], 0
     for j in range(len(cosets)):

@@ -30,14 +30,7 @@ _modulus_overrides: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -236,6 +229,8 @@ class GF:
 
     def _digit_add(self, a: int, b: int) -> int:
         p = self.p
+        if p == 2:
+            return a ^ b
         out = 0
         mult = 1
         while a or b:
@@ -267,9 +262,6 @@ class GF:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e, exponent reduced mod q-1 for nonzero a; 0**0 == 1."""
         if a == 0:
@@ -279,21 +271,6 @@ class GF:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def frobenius(self, a: int, q0: int) -> int:
-        """a**q0 for q0 a subfield size: q0 = p^s with s dividing m."""
-        s = self._subfield_degree(q0)
-        if s is None:
-            raise ValueError(f"{q0} is not a subfield size of {self!r}")
-        return self.pow(a, q0)
-
-    def _subfield_degree(self, q0: int):
-        if q0 < 2:
-            return None
-        for s in range(1, self.m + 1):
-            if self.p ** s == q0:
-                return s if self.m % s == 0 else None
-        return None
 
     def order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
@@ -315,7 +292,7 @@ def _build_field(p: int, m: int) -> GF:
     return GF(p, m, modulus)
 
 
-def field_create(p: int, m: int, modulus: tuple[int, ...] | None = None) -> GF:
+def field_create(p: int, m: int) -> GF:
     """Build GF(p^m) with the deterministic (or overridden) primitive modulus."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -323,8 +300,6 @@ def field_create(p: int, m: int, modulus: tuple[int, ...] | None = None) -> GF:
         raise ValueError(f"extension degree m = {m} outside [1, {MAX_DEGREE}]")
     if p ** m > MAX_ORDER:
         raise ValueError(f"field size {p}^{m} exceeds cap 2^20")
-    if modulus is not None:
-        return GF(p, m, tuple(modulus))
     return _build_field(p, m)
 
 
@@ -361,13 +336,9 @@ class Embedding:
             raise ValueError(f"{sub!r} is not a subfield of {ext!r}")
         self.sub = sub
         self.ext = ext
-        if sub.m == 1:
-            # prime subfield: constants keep their encoding
-            self.up_table = list(range(sub.q))
-        else:
-            # up(alpha_sub^i) = gamma^i, read from the logs; up(0) = 0
-            lg, q1 = ext._log[self._find_generator_image()], ext.q - 1
-            self.up_table = [ext._exp[lg * i % q1] if a else 0 for a, i in enumerate(sub._log)]
+        # up(alpha_sub^i) = gamma^i, read from the logs; up(0) = 0
+        lg, q1 = ext._log[self._find_generator_image()], ext.q - 1
+        self.up_table = [ext._exp[lg * i % q1] if a else 0 for a, i in enumerate(sub._log)]
         self._down = {v: a for a, v in enumerate(self.up_table)}
         if len(self._down) != sub.q:
             raise ValueError("embedding is not injective (bad modulus?)")
@@ -375,7 +346,7 @@ class Embedding:
     def _find_generator_image(self):
         sub, ext = self.sub, self.ext
         step = (ext.q - 1) // (sub.q - 1)
-        for j in range(1, sub.q - 1):
+        for j in range(sub.q - 1):
             gamma = ext.pow(ext.alpha, step * j)
             acc = 0
             for c in reversed(sub.modulus):

@@ -46,9 +46,12 @@ from .gf import GF, field_create, prime_power, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
 RELATIVE_DISTANCE_CAP = 1 << 10
-# distinct cyclic codes kept with their distances: every euclid-pair grid over
-# GF(2) up to n = 31 (128 codes) fits, so its inner loop over Z2 never misses
-_CODE_MEMO_SIZE = 128
+# distinct cyclic codes kept with their distances: a euclid-pair grid's inner
+# loop over Z2 revisits every code once per Z1, so a grid of up to this many
+# codes (2^20 instances) builds each once; GF(5) at n = 12 has 256
+_CODE_MEMO_SIZE = 1024
+# ordered code pairs kept with their relative weights
+_RELATIVE_MEMO_SIZE = 1 << 14
 
 SKIPPED = "skipped_cap"
 LOWER_OK = "lower_bound_ok"
@@ -160,7 +163,7 @@ def _measured_cyclic_code(Z: DefiningSet, base: GF, ext: GF, distance_cap: int):
     return C, _code_distance(C, Z, distance_cap)
 
 
-@lru_cache(maxsize=_CODE_MEMO_SIZE ** 2)
+@lru_cache(maxsize=_RELATIVE_MEMO_SIZE)
 def _relative_weight(Z1: DefiningSet, Z2: DefiningSet, base: GF, ext: GF, distance_cap: int):
     """relative_min_weight(C1, C2.G) for the memoised codes of Z1 and Z2: a pair
     sweep needs it at (Z1, Z2) and again, as the second weight, at (Z2, Z1)."""

@@ -40,21 +40,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
-
 
 def poly(field: GF, coeffs) -> Poly:
     """Build a Poly, trimming trailing zeros to canonical form."""
@@ -123,23 +108,15 @@ def x_pow_n_minus_one(field: GF, n: int) -> Poly:
 # ----------------------------------------------------------------------
 
 def _root_product(indices, n: int, base: GF, ext: GF) -> Poly:
-    """prod_{i in indices}(x - beta^i) over ext, coefficients mapped down to base."""
-    if (ext.q - 1) % n != 0:
-        raise ValueError(f"n = {n} does not divide {ext.q} - 1")
+    """prod_{i in indices}(x - beta^i) over ext, coefficients mapped down to base:
+    indices must be closed under multiplication by |base| mod n."""
     beta = ext.nth_root_of_unity(n)
     prod = one(ext)
     for i in sorted(indices):
         root = ext.pow(beta, i)
         prod = mul(prod, Poly(ext, (ext.neg(root), 1)))
     emb = embedding(base, ext)
-    try:
-        down = [emb.down(c) for c in prod.coeffs]
-    except ValueError:
-        raise ValueError(
-            f"root set {sorted(indices)} is not closed under multiplication by "
-            f"{base.q} mod {n}: product has coefficients outside GF({base.q})"
-        ) from None
-    return poly(base, down)
+    return poly(base, [emb.down(c) for c in prod.coeffs])
 
 
 @lru_cache(maxsize=1024)  # a sweep over one length needs at most n
@@ -151,14 +128,18 @@ def minimal_polynomial(i: int, n: int, base: GF, ext: GF) -> Poly:
 def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
     """g(x) = prod_{i in Z}(x - beta^i) with coefficients in the base field: the
     product, over the base field, of the cached minimal polynomials of Z's
-    cosets.  A Z that is not a union of cosets, or an n that does not divide
-    |ext| - 1, takes the root-by-root product, which refuses it."""
+    cosets.  Refuses an n that does not divide |ext| - 1, and a Z that is not a
+    union of cosets (its root product has coefficients outside the base field)."""
+    if (ext.q - 1) % n != 0:
+        raise ValueError(f"n = {n} does not divide {ext.q} - 1")
     idx = {i % n for i in indices}
-    cosets = {cyclotomic_coset(i, n, base.q) for i in idx} if (ext.q - 1) % n == 0 else None
-    if cosets is None or sum(map(len, cosets)) != len(idx):
-        return _root_product(idx, n, base, ext)
+    cosets = {cyclotomic_coset(i, n, base.q) for i in idx}
+    if sum(map(len, cosets)) != len(idx):
+        raise ValueError(
+            f"root set {sorted(idx)} is not closed under multiplication by "
+            f"{base.q} mod {n}: product has coefficients outside GF({base.q})"
+        )
     g = reduce(mul, (minimal_polynomial(Z.elems[0], n, base, ext) for Z in cosets), one(base))
     if g.deg != len(idx):
         raise AssertionError("degree of generator must equal |Z|")
     return g
-

@@ -30,13 +30,14 @@ def test_cyclotomic_cosets_golden():
 
 def test_coset_partition_covers_zn():
     part = coset_partition(8, 3)
-    assert part.leaders() == (0, 1, 2, 4, 5)
+    assert tuple(c.elems[0] for c in part) == (0, 1, 2, 4, 5)
     union = set()
-    for c in part.cosets:
+    for c in part:
         assert not (union & c.as_set())
         union |= c.as_set()
+        assert all(cyclotomic_coset(i, 8, 3) == c for i in c)
     assert union == set(range(8))
-    assert part.coset_of(7).as_set() == {5, 7}
+    assert cyclotomic_coset(7, 8, 3).as_set() == {5, 7}
 
 
 def test_partition_requires_coprime():
@@ -77,9 +78,9 @@ def test_euclidean_dual_defset():
 
 def test_euclidean_dual_is_involution_on_closed_sets():
     part = coset_partition(15, 2)
-    for mask in range(1 << len(part.cosets)):
+    for mask in range(1 << len(part)):
         elems = set()
-        for i, c in enumerate(part.cosets):
+        for i, c in enumerate(part):
             if mask >> i & 1:
                 elems |= c.as_set()
         Z = defset(15, 2, elems)

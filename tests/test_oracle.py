@@ -272,6 +272,19 @@ def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
     assert set(built) == set(measured) == set(subsets)
 
 
+def test_pair_grid_of_256_codes_builds_each_code_once(monkeypatch):
+    # the first 512 instances pair two Z1 with every Z2: each code is needed twice
+    built = []
+    monkeypatch.setattr(oracle, "cyclic_code",
+                        lambda Z, base, ext: built.append(Z) or cyclic_code(Z, base, ext))
+    oracle._measured_cyclic_code.cache_clear()
+    oracle._relative_weight.cache_clear()
+    grid = instances("euclid-pair", 5, n=12)
+    assert len(grid) == 256 ** 2
+    assert all(verify_instance(p).passed for p in grid[:512])
+    assert len(built) == len(set(built)) == 256
+
+
 def test_hermitian_sweep_builds_no_dual_code(monkeypatch):
     # the Hermitian count is the Euclidean pair (C, C^q): no kernel_basis per instance
     calls = []
