@@ -14,6 +14,7 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from .config import load_config, apply_modulus_overrides
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
 from .defset import coset_partition
+from .gf import prime_power
 from .oracle import FAMILIES, SKIPPED, VerificationReport, sweep, verify_instance, instances
 
 CSV_COLUMNS = ("family", "case", "q", "n", "k", "d", "d_kind", "c",
@@ -160,6 +161,10 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None, single: bool = False
 # ----------------------------------------------------------------------
 
 def cmd_cosets(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"modulus n = {args.n} must be positive")
+    if prime_power(args.q) is None:
+        raise ValueError(f"q = {args.q} is not a prime power")
     cosets = [list(c.elems) for c in coset_partition(args.n, args.q)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -5,16 +5,17 @@ rank/RREF/kernel computations and products, Hermitian duals, and exhaustive
 minimum distance by meet-in-the-middle enumeration of one codeword per
 projective point.  Everything is exact.
 
-A matrix over GF(2^m), q <= 256, is stored as lane rows from construction to
-result: each row is one int of b-bit lanes (b = 1 for GF(2), 4 up to GF(16),
-8 up to GF(256), so every byte holds whole lanes), the first column in the
-most significant lane.  Adding rows is XOR; scaling a row by a constant, and
-the Frobenius map, translate its bytes through a 256-byte table per constant,
-built lazily per field.  Rank, RREF, kernel, product (Four Russians tables of
-the right factor, kept with it), stack and transpose never form tuple rows,
-which are derived only when read.  Over other fields row reduction and
-products use numpy arrays of int64 field elements for large matrices and a
-Python loop over log/antilog lists for small ones.  numpy also carries XOR
+The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
+GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
+stored as lane rows (see _Lanes) from construction to result: each row is one
+int of b-bit lanes, the first column in the most significant lane.  Rows add
+by XOR in characteristic 2 and digit-lane-wise mod p otherwise; scaling a row
+by a constant, and the Frobenius map, translate its bytes through a 256-byte
+table per constant, built lazily per field.  Rank, RREF, kernel, product
+(Four Russians tables of the right factor in characteristic 2, sums of scaled
+rows otherwise), stack and transpose never form tuple rows, which are derived
+only when read.  Over every other field, at every size, row reduction and
+products use numpy arrays of int64 field elements.  numpy also carries XOR
 and digit-wise mod-p addition during enumeration.
 """
 
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import xor
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,10 +41,10 @@ class EnumerationCapError(ValueError):
 class Matrix:
     """Immutable matrix over a finite field.
 
-    Over GF(2^m), q <= 256, the stored form is ``lanes``: one int of b-bit
-    lanes per row (see _Lanes), the first column in the most significant lane,
-    and the tuple ``rows`` are derived from it when first read.  Over other
-    fields ``rows`` are stored and ``lanes`` is None.  The constructor
+    Over a field with a lane form, the stored form is ``lanes``: one int of
+    b-bit lanes per row (see _Lanes), the first column in the most significant
+    lane, and the tuple ``rows`` are derived from it when first read.  Over
+    other fields ``rows`` are stored and ``lanes`` is None.  The constructor
     validates and packs its input; kernel results are built in the stored
     form, unchecked, by ``_made``.
     """
@@ -96,7 +95,7 @@ class Matrix:
 
 
 def _made(field: GF, rows, ncols: int) -> Matrix:
-    """A kernel result in the field's stored form (lane rows up to GF(256)), unchecked."""
+    """A kernel result in the field's stored form (lane rows where it has them), unchecked."""
     M = object.__new__(Matrix)
     M.field, M.ncols, M._transpose, M._row_sums = field, ncols, None, None
     if _lanes(field):
@@ -112,77 +111,94 @@ _FROM_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 class _Tables(dict):
-    """Byte translate tables built on first use: self[key] = build(key)."""
+    """Values built on first use: self[key] = build(key)."""
 
     def __init__(self, build):
         super().__init__()
         self.build = build
 
     def __missing__(self, key):
-        table = self[key] = self.build(key)
-        return table
+        value = self[key] = self.build(key)
+        return value
 
 
 class _Lanes:
-    """The lane form of GF(2^m), q <= 256: b bits per entry, b = 1, 4 or 8.
+    """The lane form of a field whose elements fit in 8 bits: b bits per entry.
 
-    Entries are their int encodings (polynomial basis), so adding is XOR and
-    the element 2^k is alpha^k.  A row of n entries is an int below
-    2^(n·b), read as ceil(n·b / 8) bytes; a lane above the first column, in
-    the first byte, is padding and stays 0.  The byte translate tables
-    ``times[c]`` (multiply by c), ``over[c]`` (divide by c) and ``power[e]``
-    (raise to e) are built on first use.
+    An element's lane code holds its base-p digits in w-bit digit lanes, digit
+    0 lowest (w = 1 for p = 2, 4 for p <= 7, 8 for p <= 127): over GF(2^m) and
+    prime fields the code is the element, and 1 has code 1 in every field.
+    b is m·w rounded up to 4 or 8, so that every byte holds whole lanes, and
+    1 for GF(2).  A row of n entries is an int below 2^(n·b), read as
+    ceil(n·b / 8) bytes; a lane above the first column, in the first byte, is
+    padding and stays 0.
+
+    Rows add by XOR in characteristic 2.  Over odd p the digit lanes of
+    s = x + y hold at most 2p - 2; with carries[ncols] = (K, H), K = 2^(w-1) - p
+    and H = 2^(w-1) in every digit lane, s + K sets H in exactly the lanes that
+    reached p and carries out of none, so x + y = s - ((s + K & H) >> w-1)·p.
+    The byte translate tables ``times[c]`` (multiply by the element of code
+    c), ``over[c]`` (divide by it) and ``power[e]`` (raise to e) act on codes,
+    send invalid codes and padded lanes to 0, and are built on first use.
     """
 
-    def __init__(self, F: GF):
-        self.field = F
-        self.b = b = 1 if F.q == 2 else 4 if F.q <= 16 else 8
+    def __init__(self, F: GF, w: int):
+        p, m, q = F.p, F.m, F.q
+        self.field, self.w = F, w
+        self.b = b = 1 if q == 2 else 4 if m * w <= 4 else 8
         self.mask = (1 << b) - 1
-        self.times = _Tables(lambda c: self.table(lambda v: F.mul(c, v)))
-        self.over = _Tables(lambda c: self.times[F.inv(c)])
+        self.code = code = [sum(e // p ** i % p << i * w for i in range(m)) for e in range(q)]
+        self.element = element = dict(zip(code, range(q)))
+        self.encode = bytes(code + [0] * (256 - q))
+        self.decode = bytes(element.get(v, 0) for v in range(256))
+        self.times = _Tables(lambda c: self.table(lambda v: F.mul(element[c], v)))
+        self.over = _Tables(lambda c: self.times[code[F.inv(element[c])]])
         self.power = _Tables(lambda e: self.table(lambda v: F.pow(v, e)))
+        self.minus = self.times[p - 1]  # negation: the code of -1 is p - 1
+        self.carries = _Tables(self._carries)
+
+    def _carries(self, ncols: int) -> tuple[int, int]:
+        unit = ((1 << ncols * self.b) - 1) // ((1 << self.w) - 1)  # 1 in every digit lane
+        return unit * ((1 << self.w - 1) - self.field.p), unit << self.w - 1
+
+    def from_codes(self, rows) -> list[int]:
+        """Lane rows of rows of lane codes (bytes, one per column)."""
+        if self.b == 8:
+            return [int.from_bytes(r, "big") for r in rows]
+        return [int(r.translate(_TO_DIGITS) or b"0", 1 << self.b) for r in rows]
+
+    def codes(self, lanes, ncols: int) -> list[bytes]:
+        """Each lane row's codes, one byte per column; the inverse of from_codes."""
+        if self.b == 8:
+            return [x.to_bytes(ncols, "big") for x in lanes]
+        fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
+        return [format(x, fmt).encode().translate(_FROM_DIGITS) if ncols else b"" for x in lanes]
 
     def pack(self, rows) -> list[int]:
-        if self.b == 8:
-            return [int.from_bytes(bytes(r), "big") for r in rows]
-        return [int(bytes(r).translate(_TO_DIGITS) or b"0", 1 << self.b) for r in rows]
-
-    def digits(self, lanes, ncols: int):
-        """Each row's lanes, one per column: bytes for b = 8, else digit strings."""
-        if self.b == 8:
-            return (x.to_bytes(ncols, "big") for x in lanes)
-        fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
-        return (format(x, fmt) if ncols else "" for x in lanes)
+        return self.from_codes(bytes(r).translate(self.encode) for r in rows)
 
     def unpack(self, lanes, ncols: int) -> tuple[tuple[int, ...], ...]:
         """The tuple rows of lane rows; the inverse of pack."""
-        if self.b == 8:
-            return tuple(map(tuple, self.digits(lanes, ncols)))
-        return tuple(tuple(d.encode().translate(_FROM_DIGITS)) for d in self.digits(lanes, ncols))
+        return tuple(tuple(r.translate(self.decode)) for r in self.codes(lanes, ncols))
 
     def transpose(self, lanes, ncols: int) -> list[int]:
-        if not lanes:
-            return [0] * ncols
-        columns = zip(*self.digits(lanes, ncols))
-        if self.b == 8:
-            return [int.from_bytes(bytes(c), "big") for c in columns]
-        return [int("".join(c), 1 << self.b) for c in columns]
+        return self.from_codes(map(bytes, zip(*self.codes(lanes, ncols)))) if lanes else [0] * ncols
 
     def nbytes(self, ncols: int) -> int:
         return (ncols * self.b + 7) // 8
 
     def table(self, f) -> bytes:
-        """The byte translate table applying f to every lane of a byte; the padded
-        values q and up, which no lane holds, go to 0."""
-        q, b, mask = self.field.q, self.b, self.mask
-        g = [f(v) if v < q else 0 for v in range(1 << b)]
+        """The byte translate table applying f, a map of elements, to the code in
+        each lane of a byte; invalid codes, which no lane holds, go to 0."""
+        b, mask, code, element = self.b, self.mask, self.code, self.element
+        g = [code[f(element[v])] if v in element else 0 for v in range(1 << b)]
         return bytes(sum(g[v >> s & mask] << s for s in range(0, 8, b)) for v in range(256))
 
     @cached_property
     def planes(self) -> list[tuple[bytes, bytes | None]]:
-        """For each bit plane k: the byte translate table taking a byte to bit k
-        of each of its lanes, packed from the lowest lane up, and times[alpha^k]
-        (none for k = 0)."""
+        """For each bit plane k of GF(2^m): the byte translate table taking a byte
+        to bit k of each of its lanes, packed from the lowest lane up, and
+        times[alpha^k] (none for k = 0)."""
         b = self.b
         return [(bytes(sum((v >> b * i + k & 1) << i for i in range(8 // b)) for v in range(256)),
                  self.times[1 << k] if k else None) for k in range(self.field.m)]
@@ -208,8 +224,9 @@ def _translate(x: int, table: bytes, nbytes: int) -> int:
 
 @lru_cache(maxsize=None)
 def _lanes(F: GF) -> _Lanes | None:
-    """F's lane form, or None when F's matrices keep tuple rows."""
-    return _Lanes(F) if F.p == 2 and F.q <= 256 else None
+    """F's lane form, or None when F's matrices keep tuple rows (numpy's fields)."""
+    w = 1 if F.p == 2 else 4 if F.p <= 7 else 8 if F.p <= 127 else 0
+    return _Lanes(F, w) if w and F.m * w <= 8 else None
 
 
 def matrix(field: GF, rows, ncols: int | None = None) -> Matrix:
@@ -246,77 +263,16 @@ def product(A: Matrix, B: Matrix) -> Matrix:
         raise ValueError("field mismatch in matrix product")
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
-    if A.lanes is not None:
-        return _made(A.field, _product_lanes(A, B), B.ncols)
-    kernel = _kernel(A.field, max(A.nrows * A.ncols, B.nrows * B.ncols))
-    return _made(A.field, kernel.product(A, B), B.ncols)
+    if A.lanes is None:
+        rows = _product_numpy(A, B)
+    else:
+        rows = _product_planes(A, B) if A.field.p == 2 else _product_scaled(A, B)
+    return _made(A.field, rows, B.ncols)
 
 
 # ----------------------------------------------------------------------
-# row reduction and products: one kernel per field shape
+# row reduction and products: lane rows, or numpy for fields without them
 # ----------------------------------------------------------------------
-
-# Matrices over fields without a lane form with at least this many entries
-# (rows x cols; for a product, either factor) go through numpy.  Below it
-# numpy's per-call cost outweighs the log-table loop; on the GF(9) matrices of
-# a length-26 Hermitian sweep the two tie from 256 to 383 entries.
-_NUMPY_MIN_ENTRIES = 256
-
-
-def _product_loop(A: Matrix, B: Matrix) -> list[list[int]]:
-    """Row by row; only the nonzero entries of A's row contribute."""
-    F = A.field
-    log, exp = F._log, F._exp
-    add = xor if F.p == 2 else F.add
-    cols = [[log[y] for y in c] for c in zip(*B.rows)] if B.rows else [[]] * B.ncols
-    out = []
-    for ar in A.rows:
-        terms = [(i, log[x]) for i, x in enumerate(ar) if x]
-        row = []
-        for c in cols:
-            acc = 0
-            for i, lx in terms:
-                acc = add(acc, exp[lx + c[i]])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _rref_loop(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; deterministic first-nonzero row-major pivoting.
-
-    The pivot row's logs are taken once per pivot; clearing a row adds the
-    pivot row times the negated factor."""
-    F = M.field
-    log, exp = F._log, F._exp
-    q1 = F.q - 1
-    rows = [list(r) for r in M.rows]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(M.ncols):
-        for r in range(pr, len(rows)):
-            if rows[r][pc]:
-                break
-        else:
-            continue
-        rows[pr], rows[r] = rows[r], rows[pr]
-        piv = rows[pr]
-        # columns before pc of the pivot row are zero
-        lp = [log[e] for e in piv[pc:]]
-        if lp[0]:
-            shift = q1 - lp[0]  # the log of the pivot's inverse
-            piv[pc:] = [exp[lx + shift] for lx in lp]
-            lp = [log[e] for e in piv[pc:]]
-        for row in rows:
-            if row[pc] and row is not piv:
-                lf = log[F.neg(row[pc])]
-                row[pc:] = [F.add(e, exp[lf + lx]) for e, lx in zip(row[pc:], lp)]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
-
 
 def _echelon(M: Matrix) -> dict[int, int]:
     """Rows with distinct leading lanes spanning the lane rows of M, each with
@@ -324,48 +280,60 @@ def _echelon(M: Matrix) -> dict[int, int]:
     the rows already kept whose leading lane it has, highest first, until its
     own leading lane is new or it is zero.  A row whose leading coefficient is
     not 1 has a bit length that no kept row has; it is scaled to 1 and looked
-    up again.  Over GF(2) every coefficient is 1 and the loop only XORs."""
+    up again.  Over GF(2) every coefficient is 1 and the loop only XORs.  Over
+    odd fields the kept rows are stored negated, so clearing is one add."""
     L = _lanes(M.field)
     b, nb, over = L.b, L.nbytes(M.ncols), L.over
+    p, w1, minus = L.field.p, L.w - 1, L.minus
+    K, H = L.carries[M.ncols]
     lead: dict[int, int] = {}
     for x in M.lanes:
         while x:
             top = x.bit_length()
             y = lead.get(top)
             if y is not None:
-                x ^= y
+                if p == 2:
+                    x ^= y
+                else:
+                    x += y
+                    x -= ((x + K & H) >> w1) * p
                 continue
             c = x >> (top - 1) // b * b
             if c == 1:
-                lead[top] = x
+                lead[top] = x if p == 2 else _translate(x, minus, nb)
                 break
             x = int.from_bytes(x.to_bytes(nb, "big").translate(over[c]), "big")  # _translate, inlined
     return lead
 
 
 def _rref_lanes(M: Matrix) -> tuple[list[int], list[int]]:
-    """RREF from the echelon rows: each row, from the lowest leading lane up, is
-    cleared at the leading lanes of the (reduced) rows below it."""
-    L = _lanes(M.field)
-    b, mask, nb, times = L.b, L.mask, L.nbytes(M.ncols), L.times
+    """RREF from the (negated) echelon rows: each row, from the lowest leading
+    lane up, is cleared at the leading lanes of the reduced rows below it,
+    then negated back."""
+    L, n = _lanes(M.field), M.ncols
+    b, mask, nb, times = L.b, L.mask, L.nbytes(n), L.times
+    p, w1 = L.field.p, L.w - 1
+    K, H = L.carries[n]
     reduced: list[tuple[int, int]] = []
     for top, x in sorted(_echelon(M).items()):
         for s, y in reduced:
             c = x >> s & mask
-            if c:
-                x ^= y if c == 1 else _translate(y, times[c], nb)
+            if c:  # -x + c·(-y) = -(x - c·y)
+                y = y if c == 1 else _translate(y, times[c], nb)
+                x = x ^ y if p == 2 else x + y - ((x + y + K & H) >> w1) * p
         reduced.append((top - 1, x))
     reduced.reverse()
-    pivots = [M.ncols - 1 - s // b for s, _ in reduced]
-    return [x for _, x in reduced] + [0] * (M.nrows - len(reduced)), pivots
+    pivots = [n - 1 - s // b for s, _ in reduced]
+    rows = [_translate(x, L.minus, nb) for _, x in reduced]
+    return rows + [0] * (M.nrows - len(reduced)), pivots
 
 
-def _product_lanes(A: Matrix, B: Matrix) -> list[int]:
-    """Lane rows of A·B by bit planes and the Four Russians method (as in M4RI,
-    Albrecht, Bard & Hart).  A = sum of alpha^k A_k with each A_k over GF(2), so
-    row i of A·B is the sum of alpha^k times the XOR of the rows of B that row
-    i of A_k selects.  B keeps its plane tables (see _Lanes.plane_tables), and
-    each row of A picks one per byte of each plane."""
+def _product_planes(A: Matrix, B: Matrix) -> list[int]:
+    """Lane rows of A·B over GF(2^m) by bit planes and the Four Russians method
+    (as in M4RI, Albrecht, Bard & Hart).  A = sum of alpha^k A_k with each A_k
+    over GF(2), so row i of A·B is the sum of alpha^k times the XOR of the
+    rows of B that row i of A_k selects.  B keeps its plane tables (see
+    _Lanes.plane_tables), and each row of A picks one per byte of each plane."""
     L = _lanes(A.field)
     if B._row_sums is None:
         B._row_sums = L.plane_tables(B.lanes)
@@ -378,6 +346,23 @@ def _product_lanes(A: Matrix, B: Matrix) -> list[int]:
                 s ^= sums[plane[x & 255]]
                 x >>= 8
             acc ^= _translate(s, times, nb) if times and s else s
+        out.append(acc)
+    return out
+
+
+def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
+    """Lane rows of A·B over an odd field: row i is the sum, over the nonzero
+    a_ij, of the row B_j scaled by a_ij."""
+    L = _lanes(A.field)
+    nb, times, p, w1 = L.nbytes(B.ncols), L.times, L.field.p, L.w - 1
+    K, H = L.carries[B.ncols]
+    out = []
+    for a in L.codes(A.lanes, A.ncols):
+        acc = 0
+        for c, y in zip(a, B.lanes):
+            if c:
+                acc += y if c == 1 else _translate(y, times[c], nb)
+                acc -= ((acc + K & H) >> w1) * p
         out.append(acc)
     return out
 
@@ -455,25 +440,9 @@ def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
     return (c * radix[:, None]).sum(axis=1).tolist()
 
 
-class _Kernel(NamedTuple):
-    rref: Callable[[Matrix], tuple[list, list[int]]]
-    product: Callable[[Matrix, Matrix], list]
-
-
-_NUMPY_KERNEL = _Kernel(_rref_numpy, _product_numpy)
-_LOOP_KERNEL = _Kernel(_rref_loop, _product_loop)
-
-
-def _kernel(F: GF, entries: int) -> _Kernel:
-    """Over fields without a lane form: numpy from _NUMPY_MIN_ENTRIES entries; else the loop."""
-    return _NUMPY_KERNEL if entries >= _NUMPY_MIN_ENTRIES else _LOOP_KERNEL
-
-
 def _rref_rows(M: Matrix) -> tuple[list, list[int]]:
     """(RREF rows in M's stored form, pivot columns); lane rows never unpack."""
-    if M.lanes is not None:
-        return _rref_lanes(M)
-    return _kernel(M.field, M.nrows * M.ncols).rref(M)
+    return _rref_lanes(M) if M.lanes is not None else _rref_numpy(M)
 
 
 def rref(M: Matrix) -> Matrix:
@@ -504,11 +473,13 @@ def kernel_basis(M: Matrix) -> Matrix:
     L = _lanes(F)
     for f in free_cols:
         if L:
-            # -x = x in characteristic 2: column f of the RREF, moved to the pivot lanes
+            # column f of the RREF, moved to the pivot lanes and negated (L.minus
+            # is the identity in characteristic 2); 1 at lane f
             s = (n - 1 - f) * L.b
-            v = 1 << s
+            v = 0
             for r, pc in zip(rows, pivots):
                 v |= (r >> s & L.mask) << (n - 1 - pc) * L.b
+            v = _translate(v, L.minus, L.nbytes(n)) | 1 << s
         else:
             v = [0] * n
             v[f] = 1

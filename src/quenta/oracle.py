@@ -50,8 +50,6 @@ RELATIVE_DISTANCE_CAP = 1 << 10
 # loop over Z2 revisits every code once per Z1, so a grid of up to this many
 # codes (2^20 instances) builds each once; GF(5) at n = 12 has 256
 _CODE_MEMO_SIZE = 1024
-# ordered code pairs kept with their relative weights
-_RELATIVE_MEMO_SIZE = 1 << 14
 
 SKIPPED = "skipped_cap"
 LOWER_OK = "lower_bound_ok"
@@ -163,7 +161,7 @@ def _measured_cyclic_code(Z: DefiningSet, base: GF, ext: GF, distance_cap: int):
     return C, _code_distance(C, Z, distance_cap)
 
 
-@lru_cache(maxsize=_RELATIVE_MEMO_SIZE)
+@lru_cache(maxsize=_CODE_MEMO_SIZE ** 2)  # every ordered pair of memoised codes
 def _relative_weight(Z1: DefiningSet, Z2: DefiningSet, base: GF, ext: GF, distance_cap: int):
     """relative_min_weight(C1, C2.G) for the memoised codes of Z1 and Z2: a pair
     sweep needs it at (Z1, Z2) and again, as the second weight, at (Z2, Z1)."""

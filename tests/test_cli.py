@@ -50,6 +50,16 @@ def test_cosets_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize("n, q, message", [
+    ("-3", "2", "modulus n = -3 must be positive"),
+    ("0", "1", "modulus n = 0 must be positive"),
+    ("5", "-1", "q = -1 is not a prime power"),
+    ("7", "10", "q = 10 is not a prime power"),
+])
+def test_cosets_refuses_bad_modulus_or_base(capsys, n, q, message):
+    assert run(capsys, "cosets", "--n", n, "--q", q) == (1, "", f"error: {message}\n")
+
+
 def test_cosets_gcd_error(capsys):
     code, out, err = run(capsys, "cosets", "--q", "2", "--n", "8")
     assert code == 1

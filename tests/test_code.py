@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from unittest import mock
@@ -36,7 +37,7 @@ from quenta.defset import (
     hermitian_dual_defset,
     intersection_dim,
 )
-from quenta.gf import field_create, field_from_order, splitting_field
+from quenta.gf import field_create, field_from_order, is_prime, prime_power, splitting_field
 from quenta.oracle import (
     entanglement_rank_euclid,
     entanglement_rank_hermitian,
@@ -405,12 +406,26 @@ def test_log_tables_multiply_with_zero(F):
         assert [exp[log[a] + log[b]] for b in range(F.q)] == [F.mul(a, b) for b in range(F.q)]
 
 
-# fields of every kernel shape: lane rows of 1 bit (GF(2)), 4 bits (GF(4),
-# GF(8) with a padded value range, GF(16)) and 8 bits (GF(32), GF(256));
-# prime and odd extension fields, and GF(2^10) past the lanes, on the loop and
-# numpy paths, small and large (GF(2^10), GF(3^6))
-_KERNEL_FIELDS = (F2, F3, F4, F7, F8, F9, F16, field_create(2, 5), field_create(2, 8),
+# one field per engine shape: lane rows of 1 bit (GF(2)); 4 bits (GF(4),
+# GF(8) with invalid codes 8-15, GF(16), and the odd primes up to 7); 8 bits
+# (GF(32), GF(256), the two-digit odd fields GF(9), GF(25), GF(49), and the
+# primes 11 and 127); and numpy for the fields without a lane form (GF(27),
+# GF(131), GF(2^10), GF(3^6))
+_KERNEL_FIELDS = (F2, F3, F4, F5, F7, F8, F9, field_create(11, 1), F16, field_create(5, 2),
+                  field_create(3, 3), field_create(2, 5), field_create(7, 2),
+                  field_create(127, 1), field_create(131, 1), field_create(2, 8),
                   field_create(2, 10), field_create(3, 6))
+
+
+def test_lane_forms_of_the_fields_up_to_256():
+    lane_bits = {q: L.b for q in range(2, 257) if prime_power(q)
+                 for L in [code_module._lanes(field_from_order(q))] if L}
+    assert lane_bits == {2: 1, 3: 4, 4: 4, 5: 4, 7: 4, 8: 4, 9: 8, 16: 4, 25: 8, 32: 8, 49: 8,
+                         64: 8, 128: 8, 256: 8, **{p: 8 for p in range(11, 128) if is_prime(p)}}
+    # a lane code is the base-p digits, digit 0 in the lowest digit lane
+    assert code_module._lanes(F9).code == [0x00, 0x01, 0x02, 0x10, 0x11, 0x12, 0x20, 0x21, 0x22]
+    assert code_module._lanes(field_create(7, 2)).code[7 * 3 + 5] == 0x35
+    assert code_module._lanes(field_create(13, 1)).code == list(range(13))
 
 
 @st.composite
@@ -430,14 +445,6 @@ def field_matrix(draw, F, nrows, ncols):
     return matrix(F, rows, ncols)
 
 
-@st.composite
-def kernel_case(draw):
-    """(M, B) with M·B defined; shapes on both sides of _NUMPY_MIN_ENTRIES."""
-    F = draw(st.sampled_from(_KERNEL_FIELDS))
-    nrows, ncols, bcols = (draw(st.integers(0, 24)) for _ in range(3))
-    return draw(field_matrix(F, nrows, ncols)), draw(field_matrix(F, ncols, bcols))
-
-
 def _bch_hermit_stack():
     """The 80 x 80 GF(9) stack [H; G^3] that bch-hermit --q 3 ranks."""
     Z = bch_hermit(3, 4).defset_named("Z")
@@ -445,35 +452,19 @@ def _bch_hermit_stack():
     return stack(C.H, frobenius_entrywise(C.G, 3))
 
 
-def _on_kernel(kernel, M, B):
-    """rref, rank, row-space basis, kernel basis and product, all on one kernel."""
-    with mock.patch.object(code_module, "_kernel", lambda F, entries: kernel):
-        return _kernel_outputs(M, B)
-
-
-def _kernel_outputs(M, B):
-    return (rref(M).rows, rank(M), row_space_basis(M).rows, kernel_basis(M).rows,
-            product(M, B).rows)
-
-
-_STACK = _bch_hermit_stack()
-
-
-@settings(deadline=None, derandomize=True, max_examples=200)
-@given(kernel_case())
-@example((_STACK, transpose(_STACK)))
-def test_kernels_match_reference_loop(case):
-    M, B = case
-    expected = reference_outputs(M, B)
-    got = [_kernel_outputs(M, B)]
-    if M.lanes is None:  # lane rows never route through _kernel
-        got += [_on_kernel(code_module._LOOP_KERNEL, M, B),
-                _on_kernel(code_module._NUMPY_KERNEL, M, B)]
-    for outputs in got:
-        assert outputs == expected
-        rows, r, basis, kernel, prod = outputs
-        assert type(r) is int
-        assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
+def _check_kernels(M, B):
+    """rref, rank, row-space basis, kernel basis, product and Frobenius map of
+    the field's one engine against the reference loops."""
+    outputs = (rref(M).rows, rank(M), row_space_basis(M).rows, kernel_basis(M).rows,
+               product(M, B).rows)
+    assert outputs == reference_outputs(M, B)
+    rows, r, basis, kernel, prod = outputs
+    assert type(r) is int
+    assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
+    F = M.field
+    q0 = math.isqrt(F.q)
+    if q0 * q0 == F.q:
+        assert frobenius_entrywise(M, q0).rows == tuple(tuple(F.pow(e, q0) for e in r) for r in M.rows)
     # a kernel's result and the same matrix built from its tuple rows are equal
     # and hash alike; stack and transpose keep row and column order
     for R in (rref(M), row_space_basis(M), kernel_basis(M), product(M, B), transpose(M)):
@@ -486,13 +477,27 @@ def test_kernels_match_reference_loop(case):
         assert T.rows == (tuple(zip(*R.rows)) if R.rows else ((),) * R.ncols)
         assert (T.nrows, T.ncols) == (R.ncols, R.nrows) and transpose(T) == R
         assert T == Matrix(R.field, T.rows, T.ncols)
-    assert stack(M, rref(M)).rows == M.rows + expected[0]
+    assert stack(M, rref(M)).rows == M.rows + rows
     assert transpose(M).rows == (tuple(zip(*M.rows)) if M.rows else ((),) * M.ncols)
-    L = code_module._lanes(M.field)
-    if L:  # every translate table sends the padded lane values (q and up) to 0
-        padded = [(v, s) for v in range(256) for s in range(0, 8, L.b) if v >> s & L.mask >= L.field.q]
+    L = code_module._lanes(F)
+    if L:  # every translate table sends the invalid codes, padded lanes among them, to 0
+        invalid = [(v, s) for v in range(256) for s in range(0, 8, L.b)
+                   if v >> s & L.mask not in L.element]
         for table in itertools.chain(L.times.values(), L.power.values()):
-            assert not any(table[v] >> s & L.mask for v, s in padded)
+            assert not any(table[v] >> s & L.mask for v, s in invalid)
+
+
+@pytest.mark.parametrize("F", _KERNEL_FIELDS, ids=repr)
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(data=st.data())
+def test_kernels_match_reference_loop(F, data):
+    nrows, ncols, bcols = (data.draw(st.integers(0, 24)) for _ in range(3))
+    _check_kernels(data.draw(field_matrix(F, nrows, ncols)), data.draw(field_matrix(F, ncols, bcols)))
+
+
+def test_kernels_match_reference_loop_on_the_bch_hermit_stack():
+    M = _bch_hermit_stack()
+    _check_kernels(M, transpose(M))
 
 
 def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
@@ -519,19 +524,30 @@ def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
 
 
 def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):
-    # every matrix over GF(2^m), q <= 256, stays in lane form: none reaches the
-    # loop or numpy kernels (_rref_loop, _rref_numpy and their products)
-    kernel = code_module._kernel
+    # every matrix over a field with a lane form stays in lane form: none reaches
+    # numpy's row reduction or product
+    reached = []
 
-    def guarded(F, entries):
-        assert not (F.p == 2 and F.q <= 256), f"{F!r} reached the row kernels"
-        return kernel(F, entries)
+    def guarded(kernel):
+        def run(M, *rest):
+            assert code_module._lanes(M.field) is None, f"{M.field!r} reached {kernel.__name__}"
+            reached.append(M.field)
+            return kernel(M, *rest)
+        return run
 
-    monkeypatch.setattr(code_module, "_kernel", guarded)
+    for kernel in (code_module._rref_numpy, code_module._product_numpy):
+        monkeypatch.setattr(code_module, kernel.__name__, guarded(kernel))
     for argv in (["verify", "--family", "hermitian-lcd", "--q", "2", "--n", "15"],
-                 ["verify", "--family", "hermitian", "--q", "4", "--n", "5"]):
+                 ["verify", "--family", "hermitian", "--q", "4", "--n", "5"],
+                 ["verify", "--family", "bch-hermit", "--q", "3"],
+                 ["verify", "--family", "rs-euclid", "--q", "7"]):
         assert main(argv) == 0
     assert "0 failed" in capsys.readouterr().out
+    assert reached == []
+    F27 = field_create(3, 3)  # the guards are live
+    M = matrix(F27, [(1, 2), (3, 4)])
+    assert rank(M) == 2 and product(M, M).nrows == 2
+    assert reached == [F27, F27]
 
 
 @pytest.mark.parametrize("C", [

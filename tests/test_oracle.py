@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -308,6 +309,25 @@ def test_euclid_pair_sweep_weighs_each_ordered_pair_once(monkeypatch):
     subsets = list(coset_closed_subsets(7, 2))
     assert len(reports) == len(calls) == len(subsets) ** 2 == 64
     assert len(set(calls)) == len(calls)
+
+
+def test_pair_grid_of_256_codes_weighs_each_ordered_pair_once(monkeypatch):
+    # the weight lookups of verify --family euclid-pair --q 5 --n 12 in grid
+    # order: (Z1, Z2), then (Z2, Z1) far later in the grid, for every pair
+    calls = []
+    monkeypatch.setattr(oracle, "_measured_cyclic_code", lambda Z, *_: (SimpleNamespace(G=Z), None))
+    monkeypatch.setattr(oracle, "relative_min_weight", lambda C, M: calls.append(C) or 0)
+    base, ext = field_create(5, 1), splitting_field(5, 12)
+    codes = oracle._subsets(12, 5)
+    oracle._relative_weight.cache_clear()
+    try:
+        for Z1 in codes:
+            for Z2 in codes:
+                oracle._relative_weight(Z1, Z2, base, ext, 1 << 22)
+                oracle._relative_weight(Z2, Z1, base, ext, 1 << 22)
+    finally:
+        oracle._relative_weight.cache_clear()
+    assert len(codes) == 256 and len(calls) == 256 ** 2
 
 
 # ----------------------------------------------------------------------
