@@ -1,9 +1,12 @@
 """Concrete linear codes as matrices over finite fields.
 
 Generator/parity-check pairs built from generator polynomials, exact
-rank/RREF/kernel computations and products, Hermitian duals, and exhaustive
-minimum distance by meet-in-the-middle enumeration of one codeword per
-projective point.  Everything is exact.
+rank/RREF/kernel computations and products, Hermitian duals, and one
+meet-in-the-middle enumeration of one codeword per projective point.  It
+gives the exhaustive minimum distance, and each code's light basis: k
+codewords picked greedily in nondecreasing weight, each a lightest word
+outside the span of those before it, so that its rows of weight at most w
+span every codeword of weight at most w.  Everything is exact.
 
 The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
 GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
@@ -49,6 +52,8 @@ class Matrix:
     form, unchecked, by ``_made``.
     """
 
+    # _row_sums: what products keep of a right factor (see _product_planes and
+    # _product_scaled)
     __slots__ = ("field", "ncols", "lanes", "_rows", "_transpose", "_row_sums")
 
     def __init__(self, field: GF, rows, ncols: int):
@@ -173,6 +178,18 @@ class _Lanes:
             return [x.to_bytes(ncols, "big") for x in lanes]
         fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
         return [format(x, fmt).encode().translate(_FROM_DIGITS) if ncols else b"" for x in lanes]
+
+    def from_array(self, codes) -> list[int]:
+        """Lane rows of a 2-d uint8 numpy array of lane codes, one per array row."""
+        pad = -codes.shape[1] % (8 // self.b)  # zero lanes that fill the last byte
+        if self.b == 1:
+            codes = np.packbits(codes, axis=1)
+        elif self.b == 4:
+            packed = codes[:, 0::2] << 4
+            packed[:, :codes.shape[1] // 2] |= codes[:, 1::2]
+            codes = packed
+        data, nb, shift = codes.tobytes(), codes.shape[1], pad * self.b
+        return [int.from_bytes(data[i:i + nb], "big") >> shift for i in range(0, len(data), nb)]
 
     def pack(self, rows) -> list[int]:
         return self.from_codes(bytes(r).translate(self.encode) for r in rows)
@@ -352,16 +369,23 @@ def _product_planes(A: Matrix, B: Matrix) -> list[int]:
 
 def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
     """Lane rows of A·B over an odd field: row i is the sum, over the nonzero
-    a_ij, of the row B_j scaled by a_ij."""
+    a_ij, of the row B_j scaled by a_ij.  B keeps each scaled row it has
+    made, keyed by the code of the scalar, so a reused B translates each row
+    at most once per scalar."""
     L = _lanes(A.field)
     nb, times, p, w1 = L.nbytes(B.ncols), L.times, L.field.p, L.w - 1
     K, H = L.carries[B.ncols]
+    if B._row_sums is None:
+        B._row_sums = [{1: y} for y in B.lanes]
     out = []
     for a in L.codes(A.lanes, A.ncols):
         acc = 0
-        for c, y in zip(a, B.lanes):
+        for c, scaled in zip(a, B._row_sums):
             if c:
-                acc += y if c == 1 else _translate(y, times[c], nb)
+                y = scaled.get(c)
+                if y is None:
+                    y = scaled[c] = _translate(scaled[1], times[c], nb)
+                acc += y
                 acc -= ((acc + K & H) >> w1) * p
         out.append(acc)
     return out
@@ -507,6 +531,25 @@ def stack(A: Matrix, B: Matrix) -> Matrix:
     return _made(A.field, A._stored + B._stored, A.ncols)
 
 
+def _array_matrix(F: GF, elements) -> Matrix:
+    """The matrix of a 2-d numpy array of F's elements, in F's stored form."""
+    L = _lanes(F)
+    if L is None:
+        return _made(F, elements.tolist(), elements.shape[1])
+    codes = elements.astype(np.uint8, copy=False).tobytes().translate(L.encode)
+    return _made(F, L.from_array(np.frombuffer(codes, np.uint8).reshape(elements.shape)),
+                 elements.shape[1])
+
+
+def _pivot_columns(M: Matrix) -> list[int]:
+    """The columns of M outside the span of the columns before them: the
+    leading columns of its echelon form."""
+    if M.lanes is None:
+        return _rref_numpy(M)[1]
+    b = _lanes(M.field).b
+    return sorted(M.ncols - 1 - (top - 1) // b for top in _echelon(M))
+
+
 # ----------------------------------------------------------------------
 # linear codes
 # ----------------------------------------------------------------------
@@ -535,6 +578,15 @@ class LinearCode:
     def k(self) -> int:
         return self.G.nrows
 
+    @cached_property
+    def light_basis(self) -> tuple[Matrix, tuple[int, ...]]:
+        """(B, weights): k codewords picked greedily, each a lightest word
+        outside the span of those before it, and their nondecreasing weights.
+        The rows of B of weight at most w span every codeword of weight at
+        most w; weights[0] is the minimum distance.  Built once per code by
+        one enumeration of its q^k words, which callers bound."""
+        return _light_basis(self.G)
+
 
 def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:
     """The cyclic code over ``base`` with defining set Z, via its generator polynomial."""
@@ -561,12 +613,13 @@ def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
 
 
 # ----------------------------------------------------------------------
-# exhaustive minimum distance
+# exhaustive minimum distance and the light basis
 # ----------------------------------------------------------------------
 
 _BLOCK = 1 << 13  # most words of the low group's span in one numpy block
 
 
+@lru_cache(maxsize=None)
 def _enumeration_ops(F: GF):
     """(encode, add, width) for the enumerator's element arrays over F.
 
@@ -581,7 +634,7 @@ def _enumeration_ops(F: GF):
     radix, p_t = p ** np.arange(m), dtype.type(p)
 
     def encode(a):
-        return (a[..., None] // radix % p).reshape(len(a), -1).astype(dtype)
+        return (a[..., None] // radix % p).reshape(*a.shape[:-1], a.shape[-1] * m).astype(dtype)
 
     def add(a, b):
         total = a + b
@@ -591,41 +644,26 @@ def _enumeration_ops(F: GF):
     return encode, add, m
 
 
-def _weigh(words, n: int, width: int, relative: bool, best: int) -> int:
-    """The least of best and the weights on the first n symbols of the words
-    (columns) that count: the nonzero ones, or with ``relative`` those whose
-    symbols past n are nonzero."""
-    nonzero = words != 0
-    if width > 1:
-        nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
-    weights = nonzero[:n].sum(axis=0, dtype=np.min_scalar_type(n + 1))
-    counted = nonzero[n:].any(axis=0) if relative else weights > 0
-    return int(weights.min(initial=best, where=counted))
+def _word_blocks(F: GF, rows):
+    """The codewords x·rows of the normalized messages x, encoded (see
+    _enumeration_ops) as the columns of blocks of about _BLOCK words, so that
+    a weight is a sum over contiguous rows.
 
-
-def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
-    """Least weight on the first n columns of the words x·rows, x != 0.
-
-    The rows become one array, scaled through F's log and antilog arrays.
-
-    With ``relative``, only words whose columns past n (a syndrome tail) are
-    nonzero count.  Returns n + 1 when no word counts.  Scaling a word keeps
-    its weight and whether its tail is zero, so only the (q^k - 1)/(q - 1)
-    messages whose last nonzero coefficient is 1 (normalized) are weighed.
-    Meet in the middle: the span of a low group of rows (at most _BLOCK words
-    per block; a single row over a larger field is split into blocks of its
-    multiples) is added to the words of the high group's span, as many at
-    once as fill about _BLOCK words, in one numpy operation, with early exit
-    at weight 1.  A span grows by one row at a time in blocks of coefficient
-    1, 0, 2, ..., q - 1, so its normalized messages are a prefix followed by
-    the zero word.  Each normalized high word meets the whole low span, and
-    the zero high word, last, only the low prefix.  Words are stored as
-    columns, so a weight is a sum over contiguous rows.
+    Scaling a word keeps its weight and its span, so only the
+    (q^k - 1)/(q - 1) messages whose last nonzero coefficient is 1
+    (normalized) are enumerated.  Meet in the middle: the span of a low group
+    of rows (at most _BLOCK words per block; a single row over a larger field
+    is split into blocks of its multiples) is added to the words of the high
+    group's span, as many at once as fill about _BLOCK words, in one numpy
+    operation.  A span grows by one row at a time in blocks of coefficient 1,
+    0, 2, ..., q - 1, so its normalized messages are a prefix followed by the
+    zero word.  Each normalized high word meets the whole low span, and the
+    zero high word, last, only the low prefix.
     """
     k = len(rows)
     if not k:
-        return n + 1
-    encode, add, width = _enumeration_ops(F)
+        return
+    encode, add, _ = _enumeration_ops(F)
     q, ops = F.q, _array_field(F)
     logs = ops.log[np.array(rows, dtype=np.int64)]
     k_lo = 1
@@ -636,24 +674,36 @@ def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
         """Row j times each scalar, as encoded words in columns."""
         return encode(ops.exp[ops.log[scalars][:, None] + logs[j]]).T
 
-    def span(lo, hi, top=q):
-        """The span of rows lo..hi-1; the last takes only the coefficients below top."""
-        table = multiples(0, np.zeros(1, dtype=np.int64))  # the zero word
-        for j in range(lo, hi):
-            scaled = multiples(j, np.arange(1, q if j < hi - 1 else top)).T
-            blocks = [add(table, s[:, None]) for s in scaled]
-            table = np.concatenate(blocks[:1] + [table] + blocks[1:], axis=1)
+    def span(lo, hi, top):
+        """The span of rows lo..hi-1; the last takes only the coefficients below
+        top.  Built in place: the span of the rows so far sits where the zero
+        coefficient of every later row puts it, and each row adds its blocks of
+        nonzero coefficients around it."""
+        levels = hi - lo
+        scaled = encode(ops.exp[ops.log[np.arange(1, q)][:, None, None] + logs[lo:hi]])
+        table = np.empty((scaled.shape[2], q ** (levels - 1) * top if levels else 1), scaled.dtype)
+        at, size = (q ** levels - 1) // (q - 1), 1  # the zero word's column, the span's size
+        table[:, at] = 0
+        for j in range(levels):
+            c = (q if j < levels - 1 else top) - 1  # row j's nonzero coefficients
+            blocks = add(table[:, None, at:at + size], scaled[:c, j].T[:, :, None])
+            table[:, at - size:at] = blocks[:, 0]  # coefficient 1 goes first
+            table[:, at + size:at + c * size] = blocks[:, 1:].reshape(len(table), -1)
+            at, size = at - size, size * q
         return table
 
     if q > _BLOCK:
         order = np.array([1, 0, *range(2, q)])
         lows = ((multiples(0, order[s:s + _BLOCK]), int(s == 0)) for s in range(0, q, _BLOCK))
-    else:
-        lows = [(span(0, k_lo), (q ** k_lo - 1) // (q - 1))]
+    else:  # a low group of all k rows needs only its normalized prefix
+        lows = iter([(span(0, k_lo, q if k_lo < k else 2), (q ** k_lo - 1) // (q - 1))])
+    n_high = (q ** (k - k_lo) - 1) // (q - 1)
+    if not n_high:  # the zero high word alone meets the first low prefix
+        low, lead = next(lows)
+        yield low[:, :lead]
+        return
     # the normalized high words and the zero word lie in the last row's 1 and 0 blocks
     high = span(k_lo, k, 2)
-    n_high = (q ** (k - k_lo) - 1) // (q - 1)
-    best = n + 1
     for low, lead in lows:
         stop = n_high + (lead > 0)
         step = max(1, _BLOCK // low.shape[1])
@@ -661,10 +711,60 @@ def _min_weight(F: GF, rows, n: int, relative: bool = False) -> int:
             words = add(low[:, None, :], high[:, i:min(i + step, stop), None]).reshape(len(low), -1)
             if lead and i + step >= stop:  # the zero high word meets only the low prefix
                 words = words[:, :words.shape[1] - low.shape[1] + lead]
-            best = _weigh(words, n, width, relative, best)
-            if best == 1:
-                return best
+            yield words
+
+
+def _weights(words, width: int):
+    """The weight of each word (column)."""
+    nonzero = words != 0
+    if width > 1:
+        nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
+    return nonzero.sum(axis=0, dtype=np.min_scalar_type(len(nonzero) + 1))
+
+
+def _weigh(words, width: int, best: int) -> int:
+    """The least of best and the weights of the nonzero words (columns)."""
+    weights = _weights(words, width)
+    return int(weights.min(initial=best, where=weights > 0))
+
+
+def _min_weight(F: GF, rows, n: int) -> int:
+    """Least weight of the words x·rows, x != 0, with early exit at weight 1;
+    n + 1 when there are no rows."""
+    width, best = _enumeration_ops(F)[2], n + 1
+    for words in _word_blocks(F, rows):
+        best = _weigh(words, width, best)
+        if best == 1:
+            break
     return best
+
+
+def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """LinearCode.light_basis of the code G generates.
+
+    Each block's words, after the words kept from the blocks before it, are
+    sorted stably by weight, and the pivot columns of the matrix they form,
+    each a word outside the span of the words before it, are kept.  A word
+    not kept lies in the span of kept words no heavier than it, so the words
+    kept after the last block are a greedy basis of all the words (Edmonds,
+    "Matroids and the greedy algorithm", 1971).  Only the symbols of an
+    information set of G, its own pivot columns, are reduced: on them, words
+    are independent exactly when their messages are."""
+    F, width = G.field, _enumeration_ops(G.field)[2]
+    info = _pivot_columns(G)
+    kept, kept_weights = np.zeros((G.ncols, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
+    for words in _word_blocks(F, G.rows):
+        if width > 1:  # base-p digits back to elements
+            digits = words.reshape(G.ncols, width, -1).astype(np.int64)
+            elements = (digits * (F.p ** np.arange(width))[:, None]).sum(axis=1)
+        else:
+            elements = words
+        elements = np.concatenate([kept, elements], axis=1)
+        weights = np.concatenate([kept_weights, _weights(words, width)])
+        order = np.argsort(weights, kind="stable")
+        picks = order[_pivot_columns(_array_matrix(F, np.take(elements[info], order, axis=1)))]
+        kept, kept_weights = elements[:, picks], weights[picks]
+    return _array_matrix(F, kept.T), tuple(map(int, kept_weights))
 
 
 def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:

@@ -304,15 +304,18 @@ def field_create(p: int, m: int) -> GF:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, m) with q = p^m for a prime p, or None when q is not a prime power."""
-    for p in range(2, q + 1):
+    """(p, m) with q = p^m for a prime p, or None when q is not a prime power.
+    A q >= 2 with no factor up to its square root is prime."""
+    if q < 2:
+        return None
+    for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             m = 0
             while q % p == 0:
                 q //= p
                 m += 1
             return (p, m) if q == 1 else None
-    return None
+    return q, 1
 
 
 def field_from_order(q: int) -> GF:

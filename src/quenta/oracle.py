@@ -25,7 +25,6 @@ from .code import (
     Matrix,
     cyclic_code,
     frobenius_entrywise,
-    _min_weight,
     min_distance_exhaustive,
     product,
     rank,
@@ -123,16 +122,19 @@ def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
 def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):
     """Min weight over codewords of C that are NOT in the kernel of M.
 
-    Enumerates [G | G·M^T] and weighs the first n columns of the words whose
-    syndrome tail is nonzero.  Returns None when every codeword lies in the
-    kernel (empty difference), or the string "capped" when q^k exceeds the
-    small-enumeration cap.
+    The weight of the first row of C's light basis B outside ker M, read from
+    one product B·M^T.  Exact: if c is a lightest word outside ker M, of
+    weight w, every lighter word lies in ker M, and the rows of B of weight at
+    most w span c, so one of them lies outside ker M.  Returns None when every
+    codeword lies in the kernel (empty difference), or the string "capped"
+    when q^k exceeds the small-enumeration cap.
     """
     if C.field.q ** C.k > cap:
         return "capped"
-    rows = [g + s for g, s in zip(C.G.rows, product(C.G, transpose(M)).rows)]
-    best = _min_weight(C.field, rows, C.n, relative=True)
-    return None if best > C.n else best
+    B, weights = C.light_basis
+    S = product(B, transpose(M))
+    outside = S.lanes if S.lanes is not None else map(any, S.rows)
+    return next((w for w, s in zip(weights, outside) if s), None)
 
 
 def _relative_capped_note(C: LinearCode) -> str:

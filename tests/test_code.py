@@ -229,16 +229,23 @@ def test_bch_bound_never_exceeds_true_distance():
         assert bch_bound(Z) <= min_distance_exhaustive(C)
 
 
-def reference_weights(C, M):
-    """(min distance, relative weight outside ker M) by a message-by-message loop."""
+def reference_words(C):
+    """Every codeword of a nonzero message, by a message-by-message loop."""
     F = C.field
     multiples = [[[F.mul(a, g) for g in row] for a in range(F.q)] for row in C.G.rows]
-    d, rel = C.n + 1, None
     # the first message of the product is the zero message
     for parts in itertools.islice(itertools.product(*multiples), 1, None):
         word = [0] * C.n
         for part in parts:
             word = [F.add(x, y) for x, y in zip(word, part)]
+        yield word
+
+
+def reference_weights(C, M):
+    """(min distance, relative weight outside ker M) by a message-by-message loop."""
+    F = C.field
+    d, rel = C.n + 1, None
+    for word in reference_words(C):
         w = sum(1 for e in word if e)
         d = min(d, w)
         if any(_dot(F, mrow, word) for mrow in M.rows):
@@ -296,6 +303,36 @@ def test_enumerator_matches_reference_loop(case, cap, block):
         else:
             assert min_distance_exhaustive(C, cap) == d
             assert relative_min_weight(C, M, cap) == rel
+
+
+def reference_greedy_weights(C):
+    """The weights of a basis picked from the reference loop's words, lightest
+    first, each word kept when it raises the rank of those kept before it."""
+    words = sorted(reference_words(C), key=lambda word: sum(1 for e in word if e))
+    kept = []
+    for word in words:
+        if len(kept) == C.k:
+            break
+        if len(reference_rref(matrix(C.field, kept + [word]))[1]) > len(kept):
+            kept.append(word)
+    return [sum(1 for e in word if e) for word in kept]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(code_and_map(), st.sampled_from([code_module._BLOCK, 2, 5, 16]))
+@example((_RS9, _RS9.G), 2)
+def test_light_basis_is_a_greedy_basis(case, block):
+    C = case[0]
+    with mock.patch.object(code_module, "_BLOCK", block):
+        B, weights = code_module._light_basis(C.G)
+    assert product(B, transpose(C.H)).is_zero()  # rows are codewords
+    assert B.nrows == rank(B) == C.k
+    assert list(weights) == [sum(1 for e in row if e) for row in B.rows]
+    assert list(weights) == sorted(weights)
+    if C.k:
+        assert weights[0] == min_distance_exhaustive(C)
+    assert list(weights) == reference_greedy_weights(C)
+    assert C.light_basis[1] == weights
 
 
 def test_heaviest_gf4_enumeration_budget():
@@ -459,6 +496,10 @@ def _check_kernels(M, B):
                product(M, B).rows)
     assert outputs == reference_outputs(M, B)
     rows, r, basis, kernel, prod = outputs
+    # B keeps what the product made of it (plane tables, or scaled rows over
+    # odd fields); the second product reads it warm
+    assert (B._row_sums is not None) == (B.lanes is not None)
+    assert product(M, B).rows == prod
     assert type(r) is int
     assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
     F = M.field

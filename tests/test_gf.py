@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,26 @@ def test_field_from_order():
     assert field_from_order(1024).m == 10
     assert [prime_power(q) for q in (1, 2, 6, 9, 12, 1024)] == [
         None, (2, 1), None, (3, 2), None, (2, 10)]
+
+
+def _prime_power_by_every_divisor(q):
+    """prime_power's reference: trial division by every p up to q itself."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            m = 0
+            while q % p == 0:
+                q //= p
+                m += 1
+            return (p, m) if q == 1 else None
+    return None
+
+
+def test_prime_power_stops_at_the_square_root():
+    assert all(prime_power(q) == _prime_power_by_every_divisor(q) for q in range(-5, 5001))
+    t0 = time.perf_counter()
+    assert prime_power(10**9 + 7) == (10**9 + 7, 1)
+    assert prime_power(10007 ** 2) == (10007, 2)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_is_prime():

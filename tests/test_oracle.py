@@ -311,6 +311,19 @@ def test_euclid_pair_sweep_weighs_each_ordered_pair_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_euclid_pair_sweep_builds_one_light_basis_per_code(monkeypatch):
+    # every relative weight of a code is read from its one light basis
+    built = []
+    real = code_module._light_basis
+    monkeypatch.setattr(code_module, "_light_basis", lambda G: built.append(G) or real(G))
+    oracle._measured_cyclic_code.cache_clear()
+    oracle._relative_weight.cache_clear()
+    reports = sweep("euclid-pair", 2, n=7)
+    subsets = list(coset_closed_subsets(7, 2))
+    assert len(reports) == len(subsets) ** 2
+    assert 0 < len(built) == len(set(built)) <= len(subsets)
+
+
 def test_pair_grid_of_256_codes_weighs_each_ordered_pair_once(monkeypatch):
     # the weight lookups of verify --family euclid-pair --q 5 --n 12 in grid
     # order: (Z1, Z2), then (Z2, Z1) far later in the grid, for every pair

@@ -3,17 +3,19 @@
 The benchmark's workloads run in-process through ``cli.main`` and are checked
 with the benchmark's own ``load_reference`` and ``check``
 (``perfbench/run.py``): an output change fails here, not only in a benchmark
-run.
+run.  The notes of their verify sweeps, which no verify line prints, are
+pinned by a digest.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 from pathlib import Path
 
 import pytest
 
-from quenta import cli
+from quenta import cli, oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +46,25 @@ def test_workload_transcripts_match_the_reference(monkeypatch, workload):
         attempted, failed, problems = attempted + a, failed + f, problems + p
     assert attempted > 0
     assert (failed, problems) == (0, [])
+
+
+# sha256 over each note of the verify sweeps below followed by "\n", in sweep
+# order: 1,529 notes, each a report's relative distances or why they were not
+# enumerated
+NOTES_SHA256 = "5b4266db9158c85050cfcfe9dc7d131e41d7e6ce0eaf27991248a49e6ccec859"
+
+
+def test_verify_sweep_notes_match_the_digest(monkeypatch):
+    run = _load_run(monkeypatch)
+    digest, count = hashlib.sha256(), 0
+    for workload in ("verify-mix", "pairs-gf2", "hermitian-gf4"):
+        for argv in run.WORKLOADS[workload]:
+            if argv[0] != "verify":
+                continue
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            family, q = flags.pop("--family"), int(flags.pop("--q"))
+            for report in oracle.sweep(family, q, **{k[2:]: int(v) for k, v in flags.items()}):
+                for note in report.notes:
+                    digest.update(f"{note}\n".encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (1529, NOTES_SHA256)
