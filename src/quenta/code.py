@@ -15,9 +15,10 @@ int of b-bit lanes, the first column in the most significant lane.  Rows add
 by XOR in characteristic 2 and digit-lane-wise mod p otherwise; scaling a row
 by a constant, and the Frobenius map, translate its bytes through a 256-byte
 table per constant, built lazily per field.  Rank, RREF, kernel, product
-(Four Russians tables of the right factor in characteristic 2, sums of scaled
-rows otherwise), stack and transpose never form tuple rows, which are derived
-only when read.  Over every other field, at every size, row reduction and
+(Four Russians tables of the right factor in characteristic 2; otherwise
+sums of the right factor's rows, one scaled sum per distinct scalar of a
+left row), stack and transpose never form tuple rows, which are derived only
+when read.  Over every other field, at every size, row reduction and
 products use numpy arrays of int64 field elements.  numpy also carries XOR
 and digit-wise mod-p addition during enumeration.
 """
@@ -52,8 +53,8 @@ class Matrix:
     form, unchecked, by ``_made``.
     """
 
-    # _row_sums: what products keep of a right factor (see _product_planes and
-    # _product_scaled)
+    # _row_sums: the plane tables products keep of a right factor (see
+    # _product_planes)
     __slots__ = ("field", "ncols", "lanes", "_rows", "_transpose", "_row_sums")
 
     def __init__(self, field: GF, rows, ncols: int):
@@ -178,18 +179,6 @@ class _Lanes:
             return [x.to_bytes(ncols, "big") for x in lanes]
         fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
         return [format(x, fmt).encode().translate(_FROM_DIGITS) if ncols else b"" for x in lanes]
-
-    def from_array(self, codes) -> list[int]:
-        """Lane rows of a 2-d uint8 numpy array of lane codes, one per array row."""
-        pad = -codes.shape[1] % (8 // self.b)  # zero lanes that fill the last byte
-        if self.b == 1:
-            codes = np.packbits(codes, axis=1)
-        elif self.b == 4:
-            packed = codes[:, 0::2] << 4
-            packed[:, :codes.shape[1] // 2] |= codes[:, 1::2]
-            codes = packed
-        data, nb, shift = codes.tobytes(), codes.shape[1], pad * self.b
-        return [int.from_bytes(data[i:i + nb], "big") >> shift for i in range(0, len(data), nb)]
 
     def pack(self, rows) -> list[int]:
         return self.from_codes(bytes(r).translate(self.encode) for r in rows)
@@ -368,25 +357,23 @@ def _product_planes(A: Matrix, B: Matrix) -> list[int]:
 
 
 def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
-    """Lane rows of A·B over an odd field: row i is the sum, over the nonzero
-    a_ij, of the row B_j scaled by a_ij.  B keeps each scaled row it has
-    made, keyed by the code of the scalar, so a reused B translates each row
-    at most once per scalar."""
+    """Lane rows of A·B over an odd field: row i is the sum, over the scalars
+    c of row i of A, of c times the sum of the rows B_j with a_ij = c, so
+    each row of A scales one row per distinct scalar, not one per entry."""
     L = _lanes(A.field)
     nb, times, p, w1 = L.nbytes(B.ncols), L.times, L.field.p, L.w - 1
     K, H = L.carries[B.ncols]
-    if B._row_sums is None:
-        B._row_sums = [{1: y} for y in B.lanes]
     out = []
     for a in L.codes(A.lanes, A.ncols):
-        acc = 0
-        for c, scaled in zip(a, B._row_sums):
+        sums: dict[int, int] = {}
+        for c, y in zip(a, B.lanes):
             if c:
-                y = scaled.get(c)
-                if y is None:
-                    y = scaled[c] = _translate(scaled[1], times[c], nb)
-                acc += y
-                acc -= ((acc + K & H) >> w1) * p
+                s = sums.get(c, 0) + y
+                sums[c] = s - ((s + K & H) >> w1) * p
+        acc = sums.pop(1, 0)
+        for c, s in sums.items():
+            acc += _translate(s, times[c], nb)
+            acc -= ((acc + K & H) >> w1) * p
         out.append(acc)
     return out
 
@@ -536,9 +523,9 @@ def _array_matrix(F: GF, elements) -> Matrix:
     L = _lanes(F)
     if L is None:
         return _made(F, elements.tolist(), elements.shape[1])
+    n = elements.shape[1]
     codes = elements.astype(np.uint8, copy=False).tobytes().translate(L.encode)
-    return _made(F, L.from_array(np.frombuffer(codes, np.uint8).reshape(elements.shape)),
-                 elements.shape[1])
+    return _made(F, L.from_codes(codes[i:i + n] for i in range(0, len(codes), n)), n)
 
 
 def _pivot_columns(M: Matrix) -> list[int]:
