@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from .config import load_config, apply_modulus_overrides
@@ -265,11 +266,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="build one parameter set")
     p.add_argument("family", choices=tuple(FAMILIES))
-    for flag in ("q", "n", "k", "b", "k1", "b1", "k2", "b2", "a", "t", "r", "m",
-                 "delta", "d", "d1", "d2"):
-        p.add_argument(f"--{flag}", type=int)
-    for flag in ("z", "z1", "z2"):
-        p.add_argument(f"--{flag}", type=str)
+    for flag in dict.fromkeys(chain.from_iterable(f.required for f in FAMILIES.values())):
+        p.add_argument(f"--{flag}", type=str if flag.startswith("z") else int)
     for flag in ("d-kind", "d1-kind", "d2-kind"):
         p.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
                        choices=(EXACT, LOWER_BOUND), default=EXACT)

@@ -15,9 +15,9 @@ int of b-bit lanes, the first column in the most significant lane.  Rows add
 by XOR in characteristic 2 and digit-lane-wise mod p otherwise; scaling a row
 by a constant, and the Frobenius map, translate its bytes through a 256-byte
 table per constant, built lazily per field.  Rank, RREF, kernel, product
-(Four Russians tables of the right factor in characteristic 2; otherwise
-sums of the right factor's rows, one scaled sum per distinct scalar of a
-left row), stack and transpose never form tuple rows, which are derived only
+(Four Russians tables of the right factor over GF(2); otherwise sums of the
+right factor's rows, one scaled sum per distinct scalar of a left row),
+stack and transpose never form tuple rows, which are derived only
 when read.  Over every other field, at every size, row reduction and
 products use numpy arrays of int64 field elements.  numpy also carries XOR
 and digit-wise mod-p addition during enumeration.
@@ -53,8 +53,8 @@ class Matrix:
     form, unchecked, by ``_made``.
     """
 
-    # _row_sums: the plane tables products keep of a right factor (see
-    # _product_planes)
+    # _row_sums: the Four Russians tables GF(2) products keep of a right factor
+    # (see _product_gf2)
     __slots__ = ("field", "ncols", "lanes", "_rows", "_transpose", "_row_sums")
 
     def __init__(self, field: GF, rows, ncols: int):
@@ -200,28 +200,6 @@ class _Lanes:
         g = [code[f(element[v])] if v in element else 0 for v in range(1 << b)]
         return bytes(sum(g[v >> s & mask] << s for s in range(0, 8, b)) for v in range(256))
 
-    @cached_property
-    def planes(self) -> list[tuple[bytes, bytes | None]]:
-        """For each bit plane k of GF(2^m): the byte translate table taking a byte
-        to bit k of each of its lanes, packed from the lowest lane up, and
-        times[alpha^k] (none for k = 0)."""
-        b = self.b
-        return [(bytes(sum((v >> b * i + k & 1) << i for i in range(8 // b)) for v in range(256)),
-                 self.times[1 << k] if k else None) for k in range(self.field.m)]
-
-    def plane_tables(self, lanes) -> list[list[int]]:
-        """For each byte of a lane row over the rows ``lanes``, from the last byte:
-        the XOR of the rows under the byte's lanes selected by every value of
-        one bit plane of the byte (see planes)."""
-        per = 8 // self.b
-        tables = []
-        for s in range(len(lanes), 0, -per):
-            sums = [0]
-            for x in reversed(lanes[max(s - per, 0):s]):
-                sums += [z ^ x for z in sums]
-            tables.append(sums)
-        return tables
-
 
 def _translate(x: int, table: bytes, nbytes: int) -> int:
     """Lane row x, nbytes bytes long, with every byte translated through table."""
@@ -272,7 +250,7 @@ def product(A: Matrix, B: Matrix) -> Matrix:
     if A.lanes is None:
         rows = _product_numpy(A, B)
     else:
-        rows = _product_planes(A, B) if A.field.p == 2 else _product_scaled(A, B)
+        rows = _product_gf2(A, B) if A.field.q == 2 else _product_scaled(A, B)
     return _made(A.field, rows, B.ncols)
 
 
@@ -334,32 +312,34 @@ def _rref_lanes(M: Matrix) -> tuple[list[int], list[int]]:
     return rows + [0] * (M.nrows - len(reduced)), pivots
 
 
-def _product_planes(A: Matrix, B: Matrix) -> list[int]:
-    """Lane rows of A·B over GF(2^m) by bit planes and the Four Russians method
-    (as in M4RI, Albrecht, Bard & Hart).  A = sum of alpha^k A_k with each A_k
-    over GF(2), so row i of A·B is the sum of alpha^k times the XOR of the
-    rows of B that row i of A_k selects.  B keeps its plane tables (see
-    _Lanes.plane_tables), and each row of A picks one per byte of each plane."""
-    L = _lanes(A.field)
+def _product_gf2(A: Matrix, B: Matrix) -> list[int]:
+    """Lane rows of A·B over GF(2) by the Four Russians method (as in M4RI,
+    Albrecht, Bard & Hart).  B keeps one table per byte of a row of A, from
+    the last byte: for each of the 256 byte values, the XOR of the byte's rows
+    of B that its set bits select (bit i, the i-th of them from the end).
+    Each row of A XORs one entry per byte."""
     if B._row_sums is None:
-        B._row_sums = L.plane_tables(B.lanes)
-    tables, nb, out = B._row_sums, L.nbytes(B.ncols), []
+        tables = []
+        for s in range(B.nrows, 0, -8):
+            sums = [0]
+            for y in reversed(B.lanes[max(s - 8, 0):s]):
+                sums += [z ^ y for z in sums]
+            tables.append(sums)
+        B._row_sums = tables
+    nb, out = _lanes(A.field).nbytes(A.ncols), []
     for a in A.lanes:
         acc = 0
-        for plane, times in L.planes:
-            x, s = a, 0
-            for sums in tables:
-                s ^= sums[plane[x & 255]]
-                x >>= 8
-            acc ^= _translate(s, times, nb) if times and s else s
+        for byte, sums in zip(a.to_bytes(nb, "little"), B._row_sums):
+            acc ^= sums[byte]
         out.append(acc)
     return out
 
 
 def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
-    """Lane rows of A·B over an odd field: row i is the sum, over the scalars
-    c of row i of A, of c times the sum of the rows B_j with a_ij = c, so
-    each row of A scales one row per distinct scalar, not one per entry."""
+    """Lane rows of A·B over any lane field but GF(2): row i is the sum, over
+    the scalars c of row i of A, of c times the sum of the rows B_j with
+    a_ij = c, so each row of A scales one row per distinct scalar, not one per
+    entry.  Rows add by XOR in characteristic 2, by the carry add otherwise."""
     L = _lanes(A.field)
     nb, times, p, w1 = L.nbytes(B.ncols), L.times, L.field.p, L.w - 1
     K, H = L.carries[B.ncols]
@@ -368,12 +348,12 @@ def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
         sums: dict[int, int] = {}
         for c, y in zip(a, B.lanes):
             if c:
-                s = sums.get(c, 0) + y
-                sums[c] = s - ((s + K & H) >> w1) * p
+                s = sums.get(c, 0)
+                sums[c] = s ^ y if p == 2 else s + y - ((s + y + K & H) >> w1) * p
         acc = sums.pop(1, 0)
         for c, s in sums.items():
-            acc += _translate(s, times[c], nb)
-            acc -= ((acc + K & H) >> w1) * p
+            s = _translate(s, times[c], nb)
+            acc = acc ^ s if p == 2 else acc + s - ((acc + s + K & H) >> w1) * p
         out.append(acc)
     return out
 

@@ -40,10 +40,11 @@ def parse_config(text: str) -> Config:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
-            if key == "matrix_cap":
-                cfg.matrix_cap = int(value)
-            elif key == "distance_cap":
-                cfg.distance_cap = int(value)
+            if key in ("matrix_cap", "distance_cap"):
+                cap = int(value)
+                if cap < 1:
+                    raise ValueError(f"{key} = {cap} must be positive")
+                setattr(cfg, key, cap)
             elif key.startswith("modulus."):
                 _, p_s, m_s = key.split(".")
                 p, m = int(p_s), int(m_s)

@@ -148,7 +148,10 @@ def _relative_capped_note(C: LinearCode) -> str:
 # ----------------------------------------------------------------------
 
 def _code_distance(C: LinearCode, Z: DefiningSet, distance_cap: int):
-    """(value, kind): exhaustive exact distance, or the run bound under cap."""
+    """(value, kind): the exact distance, or the run bound under the cap.  Within
+    the relative-weight cap, d comes from the light basis relative weights read."""
+    if C.field.q ** C.k <= min(RELATIVE_DISTANCE_CAP, distance_cap):
+        return min(C.light_basis[1], default=C.n + 1), EXACT
     try:
         return min_distance_exhaustive(C, distance_cap), EXACT
     except EnumerationCapError:

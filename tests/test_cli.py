@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quenta import cli, gf
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
-from quenta.oracle import instances, verify_instance
+from quenta.oracle import FAMILIES, instances, verify_instance
 
 
 def run(capsys, *argv):
@@ -167,6 +167,24 @@ def test_construct_rebuilds_sweep_instance(capsys, monkeypatch, family, grid, in
     report = verify_instance(p)
     assert code == (0 if report.passed else 2)
     assert out == json.dumps(output_row(p, report), indent=2) + "\n"
+
+
+def test_construct_parses_every_family_input():
+    # construct's input flags are the union of the families' inputs: the
+    # defining sets z, z1, z2 as text, every other input as an int
+    parser = cli.build_parser()
+    flags = set()
+    for family in FAMILIES.values():
+        argv = ["construct", family.name]
+        for name in family.required:
+            argv += [f"--{name}", "1,2" if name.startswith("z") else "3"]
+        args = vars(parser.parse_args(argv))
+        assert {name: args[name] for name in family.required} == {
+            name: "1,2" if name.startswith("z") else 3 for name in family.required}
+        flags |= set(args) - {"config", "command", "family", "verify", "format",
+                              "d_kind", "d1_kind", "d2_kind"}
+    assert flags == {"q", "n", "k", "b", "k1", "b1", "k2", "b2", "a", "t", "r", "m",
+                     "delta", "d", "d1", "d2", "z", "z1", "z2"}
 
 
 def test_construct_missing_flags(capsys):
@@ -448,6 +466,18 @@ def test_config_parse_error(tmp_path, capsys):
                        "verify", "--family", "bch-euclid", "--q", "3")
     assert code == 1
     assert "expected 'key = value'" in err
+
+
+@pytest.mark.parametrize("key", ["matrix_cap", "distance_cap"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_config_cap_below_one_is_refused(tmp_path, capsys, key, value):
+    # a cap below 1 would skip every measurement and pass vacuously
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text(f"# caps\n{key} = {value}\n")
+    code, out, err = run(capsys, "--config", str(cfg),
+                         "verify", "--family", "euclid-pair", "--q", "2", "--n", "7")
+    assert (code, out) == (1, "")
+    assert err == f"error: config line 2: {key} = {value} must be positive\n"
 
 
 def test_config_modulus_override_is_validated_on_use(tmp_path, capsys):

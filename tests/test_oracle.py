@@ -10,7 +10,6 @@ from quenta import oracle
 from quenta.code import (
     cyclic_code,
     matrix,
-    min_distance_exhaustive,
     zero_matrix,
 )
 from quenta.defset import bch_bound, coset_closed_subsets, defset
@@ -260,17 +259,40 @@ def test_euclid_pair_grid_derives_each_subset_once():
 
 
 def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
-    built, measured = [], []
+    # one enumeration per code serves both its distance and its relative weights
+    built, enumerated = [], []
+    real = code_module._word_blocks
     monkeypatch.setattr(oracle, "cyclic_code",
                         lambda Z, base, ext: built.append(Z) or cyclic_code(Z, base, ext))
-    monkeypatch.setattr(oracle, "min_distance_exhaustive",
-                        lambda C, cap: measured.append(C.origin) or min_distance_exhaustive(C, cap))
+    monkeypatch.setattr(code_module, "_word_blocks",
+                        lambda F, rows: enumerated.append(rows) or real(F, rows))
     oracle._measured_cyclic_code.cache_clear()
+    oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)
     subsets = list(coset_closed_subsets(7, 2))
     assert len(reports) == len(subsets) ** 2
-    assert len(built) == len(measured) == len(subsets)
-    assert set(built) == set(measured) == set(subsets)
+    assert len(built) == len(set(built)) == len(enumerated) == len(subsets)
+    assert set(built) == set(subsets)
+    assert all(r.passed for r in reports)
+
+
+def test_lowered_distance_cap_falls_back_to_the_run_bound():
+    # with distance_cap = 4 only codes with 2^k <= 4 are enumerated: a pair of
+    # larger codes reads the run bound, a pair of smaller ones is exhaustive
+    oracle._measured_cyclic_code.cache_clear()
+    grid = instances("euclid-pair", 2, n=7)
+    reports = sweep("euclid-pair", 2, n=7, distance_cap=4)
+    notes = {"exhaustive": 0, "run bound": 0}
+    for p, rep in zip(grid, reports):
+        ks = [7 - len(p.defset_named(name)) for name in ("Z1", "Z2")]
+        d = rows_by_name(rep)["d"]
+        assert rep.passed and d.kind == LOWER_OK
+        if max(ks) <= 2:
+            assert d.note == "exhaustive"
+        elif min(ks) >= 3:
+            assert (d.note, d.measured) == ("run bound", p.d)
+        notes[d.note] += 1
+    assert min(notes.values()) > 0
 
 
 def test_pair_grid_of_256_codes_builds_each_code_once(monkeypatch):
