@@ -148,8 +148,9 @@ def _relative_capped_note(C: LinearCode) -> str:
 # ----------------------------------------------------------------------
 
 def _code_distance(C: LinearCode, Z: DefiningSet, distance_cap: int):
-    """(value, kind): the exact distance, or the run bound under the cap.  Within
-    the relative-weight cap, d comes from the light basis relative weights read."""
+    """(value, kind): the exact distance, or the run bound under the cap.  When
+    q^k is within both RELATIVE_DISTANCE_CAP and distance_cap, d is the first
+    weight of the code's light basis, which its relative weights also read."""
     if C.field.q ** C.k <= min(RELATIVE_DISTANCE_CAP, distance_cap):
         return min(C.light_basis[1], default=C.n + 1), EXACT
     try:
