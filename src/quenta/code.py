@@ -3,7 +3,9 @@
 Generator/parity-check pairs built from generator polynomials, exact
 rank/RREF/kernel computations and products, Hermitian duals, and one
 meet-in-the-middle enumeration of one codeword per projective point.  It
-gives the exhaustive minimum distance, and each code's light basis: k
+gives the exhaustive minimum distance, from the code itself, or when k > n - k
+from the weight distribution of its smaller dual by the MacWilliams identity
+(the cap bounds q^k either way), and each code's light basis: k
 codewords picked greedily in nondecreasing weight, each a lightest word
 outside the span of those before it, so that its rows of weight at most w
 span every codeword of weight at most w.  Everything is exact.
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from math import comb
 
 import numpy as np
 
@@ -734,13 +737,38 @@ def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return _array_matrix(F, kept.T), tuple(map(int, kept_weights))
 
 
+def _krawtchouk(j: int, i: int, n: int, q: int) -> int:
+    """K_j(i) = Σ_s (-1)^s (q - 1)^(j - s) C(i, s) C(n - i, j - s)."""
+    return sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+def _distance_from_dual(F: GF, rows, n: int) -> int:
+    """The minimum distance of the code whose dual the rows span, from the
+    dual's weight distribution B by the MacWilliams identity (MacWilliams &
+    Sloane, ch. 5): |C^⊥|·A_j = Σ_i B_i·K_j(i).  B_0 = 1, and each normalized
+    word of weight i stands for its q - 1 multiples.  The least j >= 1 with
+    A_j != 0, in exact integers; n + 1 when there is none."""
+    q, width = F.q, _enumeration_ops(F)[2]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for words in _word_blocks(F, rows):
+        counts += np.bincount(_weights(words, width), minlength=n + 1)
+    B = {0: 1, **{i: (q - 1) * int(c) for i, c in enumerate(counts) if c}}
+    for j in range(1, n + 1):
+        if sum(b * _krawtchouk(j, i, n, q) for i, b in B.items()):
+            return j
+    return n + 1
+
+
 def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """Exact minimum Hamming weight over all nonzero codewords.
 
     Enumerates one message per projective point with the meet-in-the-middle
-    kernel, with early exit at weight 1.  The zero code reports n + 1.  Raises
-    EnumerationCapError when q^k exceeds the cap so callers can fall back to
-    bch_bound.
+    kernel, of C itself with early exit at weight 1 when k <= n - k, else of
+    its dual C^⊥, the row space of H, whose q^(n-k) words give d through the
+    MacWilliams identity (_distance_from_dual).  The zero code reports n + 1.
+    Raises EnumerationCapError when q^k exceeds the cap, whichever side is
+    enumerated, so callers can fall back to bch_bound.
     """
     q, k = C.field.q, C.k
     total = q ** k
@@ -748,4 +776,6 @@ def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> i
         raise EnumerationCapError(
             f"q^k = {q}^{k} = {total} exceeds enumeration cap {cap}"
         )
+    if C.n - k < k:
+        return _distance_from_dual(C.field, C.H.rows, C.n)
     return _min_weight(C.field, C.G.rows, C.n)

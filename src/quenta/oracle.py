@@ -3,11 +3,13 @@
 Every quantity a construction claims is re-measured here from a different
 route: entanglement counts as ranks of parity-check products, cross-checked
 against the dimension identity; intersections, hulls and dimensions read
-back from that identity; distances by exhaustive enumeration (falling back
-to the consecutive-root bound under the cap).  A Hermitian code C over
-GF(q0^2) is measured as the Euclidean pair (C, C^q0), because its Hermitian
-dual is the Euclidean dual of its Frobenius image.  Skips are first-class
-report rows, never silent.
+back from that identity; distances by exhaustive enumeration of the code,
+or of its dual when that is smaller (the MacWilliams identity gives the
+code's weights from the dual's), falling back to the consecutive-root bound
+when q^k exceeds the cap, whichever side is enumerated.  A Hermitian code C
+over GF(q0^2) is measured as the Euclidean pair (C, C^q0), because its
+Hermitian dual is the Euclidean dual of its Frobenius image.  Skips are
+first-class report rows, never silent.
 """
 
 from __future__ import annotations

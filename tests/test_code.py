@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quenta import code as code_module
@@ -282,17 +283,14 @@ def code_and_map(draw):
     return C, M
 
 
-_RS7 = cyclic_code(defset(6, 7, {1, 2, 3}), F7, F7)
-_RS9 = cyclic_code(defset(8, 9, {1, 2, 3, 4, 5}), F9, F9)
-
-
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(code_and_map(), st.sampled_from([1, 30, 1 << 22]),
        st.sampled_from([code_module._BLOCK, 2, 5, 16]))
-@example((_RS7, _RS7.H), 1 << 22, code_module._BLOCK)
-@example((_RS9, _RS9.G), 1 << 22, code_module._BLOCK)
 def test_enumerator_matches_reference_loop(case, cap, block):
-    C, M = case
+    check_enumerator(*case, cap, block)
+
+
+def check_enumerator(C, M, cap, block):
     d, rel = reference_weights(C, M)
     with mock.patch.object(code_module, "_BLOCK", block):
         assert min_distance_exhaustive(C) == d
@@ -303,6 +301,23 @@ def test_enumerator_matches_reference_loop(case, cap, block):
         else:
             assert min_distance_exhaustive(C, cap) == d
             assert relative_min_weight(C, M, cap) == rel
+
+
+def rs7():
+    return cyclic_code(defset(6, 7, {1, 2, 3}), F7, F7)
+
+
+def rs9():
+    return cyclic_code(defset(8, 9, {1, 2, 3, 4, 5}), F9, F9)
+
+
+# the Reed-Solomon codes are built in the test bodies, so that an odd-field
+# product or rank fault fails these tests and not the collection of the module
+@pytest.mark.parametrize("build, M", [(rs7, "H"), (rs9, "G")], ids=["RS7", "RS9"])
+def test_enumerator_matches_reference_loop_on_rs_codes(build, M):
+    C = build()
+    check_enumerator(C, getattr(C, M), 1 << 22, code_module._BLOCK)
+    check_light_basis(C, 2)
 
 
 def reference_greedy_weights(C):
@@ -320,9 +335,11 @@ def reference_greedy_weights(C):
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(code_and_map(), st.sampled_from([code_module._BLOCK, 2, 5, 16]))
-@example((_RS9, _RS9.G), 2)
 def test_light_basis_is_a_greedy_basis(case, block):
-    C = case[0]
+    check_light_basis(case[0], block)
+
+
+def check_light_basis(C, block):
     with mock.patch.object(code_module, "_BLOCK", block):
         B, weights = code_module._light_basis(C.G)
     assert product(B, transpose(C.H)).is_zero()  # rows are codewords
@@ -336,41 +353,107 @@ def test_light_basis_is_a_greedy_basis(case, block):
 
 
 def test_heaviest_gf4_enumeration_budget():
-    # the [15, 11] Hermitian-LCD code over GF(4): 4^11 codewords
+    # the [15, 11] Hermitian-LCD code over GF(4): 4^11 codewords, enumerated
+    # directly (min_distance_exhaustive measures it through its dual)
     C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
     assert C.k == 11
     t0 = time.perf_counter()
-    assert min_distance_exhaustive(C) == 2
+    assert code_module._min_weight(C.field, C.G.rows, C.n) == 2
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("block", [code_module._BLOCK, 16])
-def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, block):
+@pytest.fixture
+def counted(monkeypatch):
+    """The number of words weighed since the last reset, counted at _weights."""
     counted = [0]
-    weigh = code_module._weigh
+    weights = code_module._weights
 
     def counting(words, *args):
         counted[0] += words.shape[1]
-        return weigh(words, *args)
+        return weights(words, *args)
 
-    monkeypatch.setattr(code_module, "_weigh", counting)
+    monkeypatch.setattr(code_module, "_weights", counting)
+    return counted
+
+
+@pytest.mark.parametrize("block", [code_module._BLOCK, 16])
+def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, counted, block):
     monkeypatch.setattr(code_module, "_BLOCK", block)
     C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
-    assert min_distance_exhaustive(C) == 2
+    assert code_module._min_weight(C.field, C.G.rows, C.n) == 2
     assert counted[0] == (4 ** 11 - 1) // 3 == 1_398_101
     # over GF(2) every nonzero message is normalized: the [15, 11] Hamming code
     # (d = 3, so no early exit) weighs all of them and no zero message
     counted[0] = 0
     C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
-    assert (C.k, min_distance_exhaustive(C)) == (11, 3)
+    assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (11, 3)
     assert counted[0] == 2 ** 11 - 1
     # the RS [13, 2, 12] over GF(27); at block 16 its first row is split into
     # chunks of its multiples, and only 1 times it meets the zero high word
     counted[0] = 0
     F27 = field_create(3, 3)
     C = cyclic_code(defset(13, 27, range(1, 12)), F27, F27)
-    assert (C.k, min_distance_exhaustive(C)) == (2, 12)
+    assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (2, 12)
     assert counted[0] == 27 + 1
+
+
+def test_high_rate_codes_are_measured_through_their_duals(counted):
+    # k > n - k: min_distance_exhaustive weighs one word per projective point
+    # of the dual, (q^(n-k) - 1)/(q - 1), not of the code
+    C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
+    assert min_distance_exhaustive(C) == 2
+    assert counted[0] == (4 ** 4 - 1) // 3 == 85
+    counted[0] = 0
+    C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
+    assert min_distance_exhaustive(C) == 3
+    assert counted[0] == 2 ** 4 - 1
+
+
+# q -> lengths of its cyclic codes: the lane fields, and one numpy-engine
+# field, GF(27), whose codes with n - k < k and 27^k within the cap have n <= 7
+# (n = 5 is left out: its splitting field GF(3^12) takes seconds to build)
+_DUAL_LENGTHS = {2: (7, 9, 15), 3: (4, 8, 11, 13), 4: (5, 7, 9, 15), 5: (4, 6, 8, 12),
+                 9: (4, 5, 8, 10), 27: (4, 7)}
+
+
+@functools.cache
+def high_rate_defsets(q):
+    """Every defining set of a cyclic code over GF(q) of a length in
+    _DUAL_LENGTHS with n - k < k and q^k within the default cap: 544 codes
+    over the six fields, listed when first drawn."""
+    return [Z for n in _DUAL_LENGTHS[q] for Z in closed_subsets(n, q)
+            if 2 * len(Z.elems) < n and q ** (n - len(Z.elems)) <= code_module.DEFAULT_DISTANCE_CAP]
+
+
+@st.composite
+def high_rate_code(draw):
+    """A code with n - k < k and q^k within the default cap: a cyclic code,
+    or over q > 2 the span of k random rows, with q^k <= 2^16 so that the
+    direct enumeration it is checked against stays fast."""
+    q = draw(st.sampled_from(sorted(_DUAL_LENGTHS)))
+    if q == 2 or draw(st.booleans()):
+        Z = draw(st.sampled_from(high_rate_defsets(q)))
+        return cyclic_code(Z, field_from_order(q), splitting_field(q, Z.n))
+    k = draw(st.integers(1, max(k for k in range(1, 11) if q ** k <= 1 << 16)))
+    n = draw(st.integers(k, min(2 * k - 1, 15)))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    C = code_from_rows(field_from_order(q), draw(st.lists(row, min_size=k, max_size=k)), n)
+    assume(C.k == k)
+    return C
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(high_rate_code())
+def test_dual_route_matches_the_direct_enumeration(C):
+    assert min_distance_exhaustive(C) == code_module._min_weight(C.field, C.G.rows, C.n)
+
+
+def test_dual_route_keeps_the_cap_on_q_to_the_k():
+    # a [15, 12] code over GF(4): 4^12 words over the cap, its dual only 64
+    C = cyclic_code(defset(15, 4, {0, 5, 10}), F4, splitting_field(4, 15))
+    assert C.k == 12 and 4 ** (C.n - C.k) == 64
+    with pytest.raises(EnumerationCapError):
+        min_distance_exhaustive(C)
 
 
 def reference_product(A, B):
@@ -594,7 +677,7 @@ def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):
 @pytest.mark.parametrize("build", [
     lambda: cyclic_code(defset(5, 4, {1, 4}), F4, splitting_field(4, 5)),
     lambda: cyclic_code(defset(5, 4, {0}), F4, splitting_field(4, 5)),
-    lambda: _RS9,
+    rs9,
     lambda: cyclic_code(defset(8, 9, {0, 1, 2, 3, 4, 5}), F9, F9),
 ], ids=["C0", "C1", "C2", "C3"])
 def test_min_weight_makes_no_field_multiplication(monkeypatch, build):
