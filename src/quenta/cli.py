@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 
-from .config import load_config, apply_modulus_overrides
+from .config import load_config
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
 from .defset import coset_partition
-from .gf import prime_power
+from .gf import prime_power, set_modulus_overrides
 from .oracle import FAMILIES, SKIPPED, VerificationReport, sweep, verify_instance, instances
 
 CSV_COLUMNS = ("family", "case", "q", "n", "k", "d", "d_kind", "c",
@@ -254,7 +255,10 @@ def _add_sweep_flags(p) -> None:
     p.add_argument("--delta-max", dest="delta_max", type=int)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``quenta`` parser, built on first use and then shared: each
+    ``parse_args`` call fills a fresh namespace, so one serves every ``main``."""
     parser = _Parser(prog="quenta")
     parser.add_argument("--config", help="config file path (also: QUENTA_CONFIG env var)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -285,11 +289,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        apply_modulus_overrides(cfg)
+        set_modulus_overrides(cfg.moduli)  # exactly this call's: none left from an earlier one
         if args.command == "cosets":
             return cmd_cosets(args)
         if args.command == "construct":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from . import gf
 from .oracle import DEFAULT_DISTANCE_CAP, DEFAULT_MATRIX_CAP
 
 ENV_VAR = "QUENTA_CONFIG"
@@ -67,9 +66,3 @@ def load_config(path: str | None) -> Config:
         return Config()
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def apply_modulus_overrides(cfg: Config) -> None:
-    """Install every modulus override into the field registry (validating each)."""
-    for (p, m), coeffs in sorted(cfg.moduli.items()):
-        gf.set_modulus_override(p, m, coeffs)

@@ -13,13 +13,14 @@ polynomial, scanning coefficient vectors from the smallest integer encoding
 upward, whose residue class of x generates the full multiplicative group
 (such a polynomial is irreducible over GF(p)).  A process-wide override
 registry lets a config file substitute a different (validated) modulus per
-(p, m).
+(p, m); a change to it drops every field built under the old one.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable
 
 MAX_ORDER = 1 << 20
 # Degree 12 admits the splitting fields GF(2^10) and GF(2^12) that the
@@ -27,6 +28,7 @@ MAX_ORDER = 1 << 20
 MAX_DEGREE = 12
 
 _modulus_overrides: dict[tuple[int, int], tuple[int, ...]] = {}
+_override_listeners: list[Callable[[], None]] = []
 
 
 def is_prime(p: int) -> bool:
@@ -127,16 +129,32 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
-def set_modulus_override(p: int, m: int, coeffs: tuple[int, ...] | None) -> None:
-    """Install (or clear, with None) a modulus override for (p, m).
+def on_modulus_change(clear: Callable[[], None]) -> None:
+    """Register ``clear``, called whenever the set of modulus overrides changes:
+    a memo of fields, kept outside this module, drops them with ``_build_field``'s."""
+    _override_listeners.append(clear)
 
-    The override is validated when the field is first built, not here.
+
+def set_modulus_overrides(moduli: dict[tuple[int, int], tuple[int, ...]]) -> None:
+    """Make ``moduli``, (p, m) -> coefficients, the whole override registry.
+
+    Every override not in ``moduli`` is removed.  Fields built under the old
+    registry are dropped only when it changes, so reinstalling the same set
+    keeps them.  An override is validated when its field is first built, not
+    here.
     """
-    if coeffs is None:
-        _modulus_overrides.pop((p, m), None)
-    else:
-        _modulus_overrides[(p, m)] = tuple(coeffs)
+    moduli = {pm: tuple(coeffs) for pm, coeffs in moduli.items()}
+    if moduli == _modulus_overrides:
+        return
+    _modulus_overrides.clear()
+    _modulus_overrides.update(moduli)
     _build_field.cache_clear()
+    for clear in _override_listeners:
+        clear()
+
+
+class ModulusError(ValueError):
+    """A modulus that defines no field GF(p^m): not monic of degree m, or not primitive."""
 
 
 class GF:
@@ -148,11 +166,11 @@ class GF:
         self.q = p ** m
         self.modulus = tuple(modulus)
         if len(self.modulus) != m + 1 or self.modulus[m] != 1:
-            raise ValueError(f"modulus must be monic of degree {m}")
+            raise ModulusError(f"modulus must be monic of degree {m}")
         if any(not 0 <= c < p for c in self.modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
+            raise ModulusError("modulus coefficients must lie in [0, p)")
         if not _is_primitive(list(self.modulus), p):
-            raise ValueError(f"modulus {self.modulus} is reducible or not primitive over GF({p})")
+            raise ModulusError(f"modulus {self.modulus} is reducible or not primitive over GF({p})")
         self._build_tables()
         self._hash = hash(self.key)  # fields key every memo: hash once
 

@@ -43,7 +43,7 @@ from .defset import (
     hermitian_dual_defset,
     intersection_dim,
 )
-from .gf import GF, field_create, prime_power, splitting_field
+from .gf import GF, ModulusError, field_create, on_modulus_change, prime_power, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
 RELATIVE_DISTANCE_CAP = 1 << 10
@@ -205,8 +205,13 @@ def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
     return _family(p.family).verify(p, matrix_cap, distance_cap)
 
 
+@lru_cache(maxsize=None)
 def _materialize_base(q: int, n: int, matrix_cap: int):
-    """(base_field, ext_field) or (None, reason); q is a prime power."""
+    """(base_field, ext_field) or (None, reason); q is a prime power.
+
+    Built once per key; gf drops the memo whenever the modulus overrides
+    change.  An error is not memoised, so a bad override raises on every call.
+    """
     # field construction errors (e.g. a bad modulus override) must surface
     base = field_create(*prime_power(q))
     if n > matrix_cap:
@@ -215,9 +220,14 @@ def _materialize_base(q: int, n: int, matrix_cap: int):
         return None, f"gcd(n, q) != 1 for n = {n}, q = {q}"
     try:
         ext = splitting_field(q, n)
+    except ModulusError:
+        raise  # an override of the extension's modulus is as bad as the base's
     except ValueError as exc:
         return None, f"splitting field unavailable: {exc}"
     return (base, ext), None
+
+
+on_modulus_change(_materialize_base.cache_clear)
 
 
 def _skip_rank_rows(p: QuentaParams, pred_int: int, lcd: bool, reason) -> VerificationReport:

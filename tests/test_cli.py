@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenta import cli, gf
+from quenta import cli, gf, oracle
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
 from quenta.oracle import FAMILIES, instances, verify_instance
@@ -219,6 +219,38 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "cosets", "--q", "2", "--n", "7")[0] == 0
+        assert run(capsys, "verify", "--family", "li-lcd", "--q", "2", "--m", "3")[0] == 0
+    finally:
+        cli.build_parser.cache_clear()  # drop the parser built from Counted
+    assert built.count("quenta") == 1
+
+
+def test_usage_error_after_a_good_call_still_exits_1(capsys):
+    assert run(capsys, "cosets", "--q", "2", "--n", "7")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quenta verify ")
+    assert captured.err.endswith(
+        "quenta verify: error: the following arguments are required: --family\n")
+    # the shared parser is unharmed by the error
+    assert run(capsys, "cosets", "--q", "2", "--n", "7")[0] == 0
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +522,37 @@ def test_config_modulus_override_is_validated_on_use(tmp_path, capsys):
         assert code == 1
         assert "error:" in err
     finally:
-        gf.set_modulus_override(2, 2, None)
+        gf.set_modulus_overrides({})
+
+
+def test_modulus_override_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "mod.cfg"
+    cfg.write_text("modulus.2.2 = 1,0,1\n")  # x^2 + 1 is reducible over GF(2)
+    argv = ["construct", "hermitian", "--q", "2", "--n", "3", "--z", "1", "--d", "2", "--verify"]
+    code, _, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, err) == (1, "error: modulus (1, 0, 1) is reducible or not primitive over GF(2)\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["passed"] is True
+
+
+def test_sweep_materializes_its_fields_once(capsys, monkeypatch):
+    built = []
+
+    def counted(q, n):
+        built.append((q, n))
+        return gf.splitting_field(q, n)
+
+    monkeypatch.setattr(oracle, "splitting_field", counted)
+    oracle._materialize_base.cache_clear()
+    code, out, _ = run(capsys, "verify", "--family", "euclid-pair", "--q", "2", "--n", "15")
+    assert code == 0
+    assert out.splitlines()[-1] == "1024 passed, 0 failed, 0 skipped"
+    assert built == [(2, 15)]
+    # a later call with the same (empty) set of overrides keeps the fields
+    code, out, _ = run(capsys, "verify", "--family", "euclid-lcd", "--q", "2", "--n", "15")
+    assert code == 0
+    assert built == [(2, 15)]
 
 
 def test_parse_config_defaults_and_comments():
@@ -524,7 +586,7 @@ def test_config_modulus_override_good_value(tmp_path, capsys):
         assert code == 0
         assert json.loads(out)["verification"]["passed"] is True
     finally:
-        gf.set_modulus_override(2, 2, None)
+        gf.set_modulus_overrides({})
 
 
 # stdout digests of two GF(2) sweeps, recorded before GF(2) matrices were kept

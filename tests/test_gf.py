@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quenta import gf as gf_module
 from quenta.gf import (
     Embedding,
     _digits,
@@ -18,7 +19,7 @@ from quenta.gf import (
     field_from_order,
     is_prime,
     prime_power,
-    set_modulus_override,
+    set_modulus_overrides,
     splitting_field,
 )
 
@@ -266,7 +267,7 @@ def test_modulus_override_round_trip():
     default = field_create(2, 3).modulus
     other = (1, 0, 1, 1)  # the second primitive cubic over GF(2)
     assert other != default
-    set_modulus_override(2, 3, other)
+    set_modulus_overrides({(2, 3): other})
     try:
         F = field_create(2, 3)
         assert F.modulus == other
@@ -274,17 +275,36 @@ def test_modulus_override_round_trip():
         for x in range(1, 8):
             assert F.mul(x, F.inv(x)) == 1
     finally:
-        set_modulus_override(2, 3, None)
+        set_modulus_overrides({})
     assert field_create(2, 3).modulus == default
 
 
 def test_modulus_override_rejects_reducible():
-    set_modulus_override(2, 3, (0, 0, 0, 1))  # x^3, clearly reducible
+    set_modulus_overrides({(2, 3): (0, 0, 0, 1)})  # x^3, clearly reducible
     try:
         with pytest.raises(ValueError):
             field_create(2, 3)
     finally:
-        set_modulus_override(2, 3, None)
+        set_modulus_overrides({})
+
+
+def test_modulus_overrides_replace_the_registry_and_notify_only_on_change(monkeypatch):
+    cleared = []
+    monkeypatch.setattr(gf_module, "_override_listeners", [lambda: cleared.append(1)])
+    other = (1, 0, 1, 1)
+    try:
+        set_modulus_overrides({(2, 3): other, (2, 2): (1, 1, 1)})
+        assert len(cleared) == 1
+        set_modulus_overrides({(2, 2): (1, 1, 1), (2, 3): list(other)})  # the same set
+        assert len(cleared) == 1
+        set_modulus_overrides({(2, 3): other})  # (2, 2) removed
+        assert len(cleared) == 2
+        assert gf_module._modulus_overrides == {(2, 3): other}
+        assert field_create(2, 3).modulus == other
+    finally:
+        set_modulus_overrides({})
+    assert len(cleared) == 3
+    assert field_create(2, 3).modulus != other
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -3,8 +3,9 @@
 The benchmark's workloads run in-process through ``cli.main`` and are checked
 with the benchmark's own ``load_reference`` and ``check``
 (``perfbench/run.py``): an output change fails here, not only in a benchmark
-run.  The notes of their verify sweeps, which no verify line prints, are
-pinned by a digest.
+run.  They must not depend on what ran before them in the process, in which
+order, or under which config.  The notes of their verify sweeps, which no
+verify line prints, are pinned by a digest.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from quenta import cli, oracle
+from quenta import cli, gf, oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,6 +47,51 @@ def test_workload_transcripts_match_the_reference(monkeypatch, workload):
         attempted, failed, problems = attempted + a, failed + f, problems + p
     assert attempted > 0
     assert (failed, problems) == (0, [])
+
+
+def _main(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def test_verify_mix_matches_the_reference_in_reverse_under_configs(monkeypatch, tmp_path):
+    # every other invocation installs an override: each change of the override
+    # set drops the memoised fields, which must come back the same
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    run = _load_run(monkeypatch)
+    reference = run.load_reference("verify-mix")
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"matrix_cap = {oracle.DEFAULT_MATRIX_CAP}\n"
+                   f"distance_cap = {oracle.DEFAULT_DISTANCE_CAP}\n"
+                   "modulus.2.4 = 1,1,0,0,1  # GF(16)'s own modulus\n")
+    problems = []
+    try:
+        for i, argv in enumerate(reversed(run.WORKLOADS["verify-mix"])):
+            code, text = _main(["--config", str(cfg), *argv] if i % 2 else argv)
+            attempted, failed, found = run.check(reference[tuple(argv)], code, text)
+            problems += found
+            assert (attempted > 0, failed) == (True, 0), argv
+    finally:
+        gf.set_modulus_overrides({})  # the last invocation ran under the config
+    assert problems == []
+
+
+def test_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    run = _load_run(monkeypatch)
+    argv = ("verify", "--family", "hermitian", "--q", "2", "--n", "5")
+    ref = run.load_reference("verify-mix")[argv]
+    assert _main(argv) == (ref["exit"], ref["stdout"])
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("modulus.2.4 = 1,0,0,0,1\n")  # (x + 1)^4; GF(16) splits x^5 - 1 over GF(4)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert _main(["--config", str(cfg), *argv]) == (1, "")
+    assert err.getvalue() == (
+        "error: modulus (1, 0, 0, 0, 1) is reducible or not primitive over GF(2)\n")
+    assert _main(argv) == (ref["exit"], ref["stdout"])
 
 
 # sha256 over each note of the verify sweeps below followed by "\n", in sweep
