@@ -16,13 +16,15 @@ stored as lane rows (see _Lanes) from construction to result: each row is one
 int of b-bit lanes, the first column in the most significant lane.  Rows add
 by XOR in characteristic 2 and digit-lane-wise mod p otherwise; scaling a row
 by a constant, and the Frobenius map, translate its bytes through a 256-byte
-table per constant, built lazily per field.  Rank, RREF, kernel, product
-(Four Russians tables of the right factor over GF(2); otherwise sums of the
-right factor's rows, one scaled sum per distinct scalar of a left row),
-stack and transpose never form tuple rows, which are derived only
-when read.  Over every other field, at every size, row reduction and
-products use numpy arrays of int64 field elements.  numpy also carries XOR
-and digit-wise mod-p addition during enumeration.
+table per constant, built lazily per field.  Rank (forward elimination of the
+lane rows), product (Four Russians tables of the right factor over GF(2);
+otherwise sums of the right factor's rows, one scaled sum per distinct scalar
+of a left row), stack and transpose never form tuple rows, which are derived
+only when read.  Over every other field, at every size, rank and products use
+numpy arrays of int64 field elements.  RREF, row-space basis and kernel use
+one int64 row reduction over every field, and return lane rows where the
+field has them.  numpy also carries XOR and digit-wise mod-p addition during
+enumeration.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class Matrix:
     b-bit lanes per row (see _Lanes), the first column in the most significant
     lane, and the tuple ``rows`` are derived from it when first read.  Over
     other fields ``rows`` are stored and ``lanes`` is None.  The constructor
-    validates and packs its input; kernel results are built in the stored
-    form, unchecked, by ``_made``.
+    validates and packs its input; the results of products, transposes,
+    stacks, RREFs and kernels are built in the stored form, unchecked, by
+    ``_made``.
     """
 
     # _row_sums: the Four Russians tables GF(2) products keep of a right factor
@@ -216,23 +219,6 @@ def _lanes(F: GF) -> _Lanes | None:
     return _Lanes(F, w) if w and F.m * w <= 8 else None
 
 
-def matrix(field: GF, rows, ncols: int | None = None) -> Matrix:
-    rows = tuple(tuple(r) for r in rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for a matrix with no rows")
-        ncols = len(rows[0])
-    return Matrix(field, rows, ncols)
-
-
-def zero_matrix(field: GF, nrows: int, ncols: int) -> Matrix:
-    return Matrix(field, tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-
-def identity(field: GF, k: int) -> Matrix:
-    return Matrix(field, tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)), k)
-
-
 def transpose(M: Matrix) -> Matrix:
     """M^T, built once per matrix; transposing it back gives M itself."""
     if M._transpose is None:
@@ -258,7 +244,7 @@ def product(A: Matrix, B: Matrix) -> Matrix:
 
 
 # ----------------------------------------------------------------------
-# row reduction and products: lane rows, or numpy for fields without them
+# rank and products on lane rows, or numpy for fields without them; RREF on numpy
 # ----------------------------------------------------------------------
 
 def _echelon(M: Matrix) -> dict[int, int]:
@@ -291,28 +277,6 @@ def _echelon(M: Matrix) -> dict[int, int]:
                 break
             x = int.from_bytes(x.to_bytes(nb, "big").translate(over[c]), "big")  # _translate, inlined
     return lead
-
-
-def _rref_lanes(M: Matrix) -> tuple[list[int], list[int]]:
-    """RREF from the (negated) echelon rows: each row, from the lowest leading
-    lane up, is cleared at the leading lanes of the reduced rows below it,
-    then negated back."""
-    L, n = _lanes(M.field), M.ncols
-    b, mask, nb, times = L.b, L.mask, L.nbytes(n), L.times
-    p, w1 = L.field.p, L.w - 1
-    K, H = L.carries[n]
-    reduced: list[tuple[int, int]] = []
-    for top, x in sorted(_echelon(M).items()):
-        for s, y in reduced:
-            c = x >> s & mask
-            if c:  # -x + c·(-y) = -(x - c·y)
-                y = y if c == 1 else _translate(y, times[c], nb)
-                x = x ^ y if p == 2 else x + y - ((x + y + K & H) >> w1) * p
-        reduced.append((top - 1, x))
-    reduced.reverse()
-    pivots = [n - 1 - s // b for s, _ in reduced]
-    rows = [_translate(x, L.minus, nb) for _, x in reduced]
-    return rows + [0] * (M.nrows - len(reduced)), pivots
 
 
 def _product_gf2(A: Matrix, B: Matrix) -> list[int]:
@@ -391,8 +355,9 @@ def _array_field(F: GF) -> _ArrayField:
     return _ArrayField(F)
 
 
-def _rref_numpy(M: Matrix) -> tuple[list[list[int]], list[int]]:
-    """RREF on an int64 array; each pivot updates only the rows it has to clear."""
+def _rref(M: Matrix) -> tuple[np.ndarray, list[int]]:
+    """(RREF, pivot columns) on an int64 array, over every field; each pivot
+    updates only the rows it has to clear."""
     F, ops = M.field, _array_field(M.field)
     A = M.to_numpy()
     pivots: list[int] = []
@@ -416,7 +381,7 @@ def _rref_numpy(M: Matrix) -> tuple[list[list[int]], list[int]]:
             A[hit, pc:] = ops.sub_outer(A[hit, pc:], A[hit, pc], A[pr, pc:])
         pivots.append(pc)
         pr += 1
-    return A.tolist(), pivots
+    return A, pivots
 
 
 def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
@@ -434,53 +399,34 @@ def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
     return (c * radix[:, None]).sum(axis=1).tolist()
 
 
-def _rref_rows(M: Matrix) -> tuple[list, list[int]]:
-    """(RREF rows in M's stored form, pivot columns); lane rows never unpack."""
-    return _rref_lanes(M) if M.lanes is not None else _rref_numpy(M)
-
-
 def rref(M: Matrix) -> Matrix:
-    rows, _ = _rref_rows(M)
-    return _made(M.field, rows, M.ncols)
+    return _array_matrix(M.field, _rref(M)[0])
 
 
 def rank(M: Matrix) -> int:
     if M.lanes is not None:
         return len(_echelon(M))
-    _, pivots = _rref_rows(M)
+    _, pivots = _rref(M)
     return len(pivots)
 
 
 def row_space_basis(M: Matrix) -> Matrix:
     """Nonzero rows of the RREF: canonical basis of the row space."""
-    rows, pivots = _rref_rows(M)
-    return _made(M.field, rows[: len(pivots)], M.ncols)
+    A, pivots = _rref(M)
+    return _array_matrix(M.field, A[:len(pivots)])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Rows spanning the right null space {x : M x^T = 0}; (ncols - rank) rows."""
     F, n = M.field, M.ncols
-    rows, pivots = _rref_rows(M)
+    A, pivots = _rref(M)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    L = _lanes(F)
-    for f in free_cols:
-        if L:
-            # column f of the RREF, moved to the pivot lanes and negated (L.minus
-            # is the identity in characteristic 2); 1 at lane f
-            s = (n - 1 - f) * L.b
-            v = 0
-            for r, pc in zip(rows, pivots):
-                v |= (r >> s & L.mask) << (n - 1 - pc) * L.b
-            v = _translate(v, L.minus, L.nbytes(n)) | 1 << s
-        else:
-            v = [0] * n
-            v[f] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = F.neg(rows[i][f])
-        basis.append(v)
-    return _made(F, basis, n)
+    basis = np.zeros((len(free_cols), n), dtype=np.int64)
+    for i, f in enumerate(free_cols):
+        basis[i, f] = 1
+        basis[i, pivots] = [F.neg(int(e)) for e in A[:len(pivots), f]]
+    return _array_matrix(F, basis)
 
 
 def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
@@ -507,6 +453,8 @@ def _array_matrix(F: GF, elements) -> Matrix:
     if L is None:
         return _made(F, elements.tolist(), elements.shape[1])
     n = elements.shape[1]
+    if not n:  # zero-width lane rows are all 0
+        return _made(F, [0] * len(elements), 0)
     codes = elements.astype(np.uint8, copy=False).tobytes().translate(L.encode)
     return _made(F, L.from_codes(codes[i:i + n] for i in range(0, len(codes), n)), n)
 
@@ -515,7 +463,7 @@ def _pivot_columns(M: Matrix) -> list[int]:
     """The columns of M outside the span of the columns before them: the
     leading columns of its echelon form."""
     if M.lanes is None:
-        return _rref_numpy(M)[1]
+        return _rref(M)[1]
     b = _lanes(M.field).b
     return sorted(M.ncols - 1 - (top - 1) // b for top in _echelon(M))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .gf import MAX_DEGREE, is_prime
 from .oracle import DEFAULT_DISTANCE_CAP, DEFAULT_MATRIX_CAP
 
 ENV_VAR = "QUENTA_CONFIG"
@@ -47,6 +48,8 @@ def parse_config(text: str) -> Config:
             elif key.startswith("modulus."):
                 _, p_s, m_s = key.split(".")
                 p, m = int(p_s), int(m_s)
+                if not is_prime(p) or not 1 <= m <= MAX_DEGREE:
+                    raise ValueError(f"GF({p}^{m}) needs a prime p and m in [1, {MAX_DEGREE}]")
                 coeffs = tuple(int(v) for v in value.split(","))
                 if len(coeffs) != m + 1:
                     raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")

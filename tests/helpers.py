@@ -8,11 +8,9 @@ from quenta.code import (
     Matrix,
     hermitian_dual_code,
     kernel_basis,
-    matrix,
     rank,
     row_space_basis,
     stack,
-    zero_matrix,
 )
 from quenta.defset import DefiningSet, defset
 from quenta.gf import GF, embedding
@@ -21,7 +19,7 @@ from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n
 
 def code_from_rows(field: GF, rows, n: int, origin: DefiningSet | None = None) -> LinearCode:
     """The code spanned by the given rows; G and H in canonical RREF form."""
-    G = row_space_basis(matrix(field, rows, n) if rows else zero_matrix(field, 0, n))
+    G = row_space_basis(Matrix(field, rows, n))
     H = kernel_basis(G)
     return LinearCode(field, n, G, H, origin)
 

@@ -512,6 +512,22 @@ def test_config_cap_below_one_is_refused(tmp_path, capsys, key, value):
     assert err == f"error: config line 2: {key} = {value} must be positive\n"
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("modulus.4.2", "1,1,1", "GF(4^2)"),
+    ("modulus.2.0", "1", "GF(2^0)"),
+    ("modulus.2.13", ",".join("1" + "0" * 12 + "1"), "GF(2^13)"),
+])
+def test_config_modulus_of_no_field_is_refused(tmp_path, capsys, key, value, field):
+    # no field is built for a composite p or an m outside [1, MAX_DEGREE], so
+    # such an override would be accepted and then ignored
+    cfg = tmp_path / "mod.cfg"
+    cfg.write_text(f"# moduli\n{key} = {value}\n")
+    code, out, err = run(capsys, "--config", str(cfg),
+                         "verify", "--family", "euclid-pair", "--q", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: config line 2: {field} needs a prime p and m in [1, {gf.MAX_DEGREE}]\n"
+
+
 def test_config_modulus_override_is_validated_on_use(tmp_path, capsys):
     cfg = tmp_path / "mod.cfg"
     cfg.write_text("modulus.2.2 = 1,0,1\n")  # x^2 + 1 is reducible over GF(2)
@@ -565,6 +581,10 @@ def test_parse_config_defaults_and_comments():
 def test_parse_config_modulus_entries():
     cfg = parse_config("modulus.2.4 = 1,1,0,0,1\n")
     assert cfg.moduli == {(2, 4): (1, 1, 0, 0, 1)}
+    # the degree bounds 1 and MAX_DEGREE are accepted
+    top = ",".join("1" + "0" * (gf.MAX_DEGREE - 1) + "1")
+    cfg = parse_config(f"modulus.3.1 = 1,1\nmodulus.2.{gf.MAX_DEGREE} = {top}\n")
+    assert cfg.moduli == {(3, 1): (1, 1), (2, gf.MAX_DEGREE): (1,) + (0,) * (gf.MAX_DEGREE - 1) + (1,)}
     with pytest.raises(ValueError, match="line 1"):
         parse_config("modulus.2.4 = 1,1,0,0\n")  # wrong coefficient count
     with pytest.raises(ValueError, match="line 1"):

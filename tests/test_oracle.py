@@ -7,11 +7,7 @@ from quenta import constructions as cons
 from quenta import defset as defset_module
 from quenta import code as code_module
 from quenta import oracle
-from quenta.code import (
-    cyclic_code,
-    matrix,
-    zero_matrix,
-)
+from quenta.code import Matrix, cyclic_code
 from quenta.defset import bch_bound, coset_closed_subsets, defset
 from quenta.gf import field_create, field_from_order, splitting_field
 from quenta.oracle import (
@@ -122,7 +118,7 @@ def test_relative_weight_empty_difference_is_none():
 
 def test_relative_weight_full_space():
     C = cyclic_code(defset(3, 2, set()), F2, splitting_field(2, 3))
-    M = matrix(F2, [(1, 1, 1)])
+    M = Matrix(F2, [(1, 1, 1)], 3)
     # words with odd overlap against 111: minimum is a single 1
     assert relative_min_weight(C, M) == 1
 
@@ -130,14 +126,14 @@ def test_relative_weight_full_space():
 def test_relative_weight_capped():
     ext = splitting_field(2, 7)
     C = cyclic_code(defset(7, 2, {1, 2, 4}), F2, ext)
-    assert relative_min_weight(C, zero_matrix(F2, 1, 7), cap=10) == "capped"
+    assert relative_min_weight(C, Matrix(F2, [(0,) * 7], 7), cap=10) == "capped"
 
 
 def test_relative_weight_zero_map_sees_whole_code():
     ext = splitting_field(2, 7)
     C = cyclic_code(defset(7, 2, {1, 2, 4}), F2, ext)
     # nothing is outside the kernel of the zero map
-    assert relative_min_weight(C, zero_matrix(F2, 1, 7)) is None
+    assert relative_min_weight(C, Matrix(F2, [(0,) * 7], 7)) is None
 
 
 # ----------------------------------------------------------------------
