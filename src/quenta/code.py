@@ -1,10 +1,10 @@
 """Concrete linear codes as matrices over finite fields.
 
 Generator/parity-check pairs built from generator polynomials, exact
-rank/RREF/kernel computations and products, Hermitian duals, and one
+rank/kernel computations and products, Hermitian duals, and one
 meet-in-the-middle enumeration of one codeword per projective point.  It
-gives the exhaustive minimum distance, from the code itself, or when k > n - k
-from the weight distribution of its smaller dual by the MacWilliams identity
+gives the exhaustive minimum distance from one weight distribution, of the
+code itself, or when k > n - k of its smaller dual by the MacWilliams identity
 (the cap bounds q^k either way), and each code's light basis: k
 codewords picked greedily in nondecreasing weight, each a lightest word
 outside the span of those before it, so that its rows of weight at most w
@@ -21,10 +21,9 @@ lane rows), product (Four Russians tables of the right factor over GF(2);
 otherwise sums of the right factor's rows, one scaled sum per distinct scalar
 of a left row), stack and transpose never form tuple rows, which are derived
 only when read.  Over every other field, at every size, rank and products use
-numpy arrays of int64 field elements.  RREF, row-space basis and kernel use
-one int64 row reduction over every field, and return lane rows where the
-field has them.  numpy also carries XOR and digit-wise mod-p addition during
-enumeration.
+numpy arrays of int64 field elements.  The kernel basis uses one int64 row
+reduction over every field, and returns lane rows where the field has them.
+numpy also carries XOR and digit-wise mod-p addition during enumeration.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class Matrix:
     lane, and the tuple ``rows`` are derived from it when first read.  Over
     other fields ``rows`` are stored and ``lanes`` is None.  The constructor
     validates and packs its input; the results of products, transposes,
-    stacks, RREFs and kernels are built in the stored form, unchecked, by
+    stacks and kernels are built in the stored form, unchecked, by
     ``_made``.
     """
 
@@ -399,21 +398,11 @@ def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
     return (c * radix[:, None]).sum(axis=1).tolist()
 
 
-def rref(M: Matrix) -> Matrix:
-    return _array_matrix(M.field, _rref(M)[0])
-
-
 def rank(M: Matrix) -> int:
     if M.lanes is not None:
         return len(_echelon(M))
     _, pivots = _rref(M)
     return len(pivots)
-
-
-def row_space_basis(M: Matrix) -> Matrix:
-    """Nonzero rows of the RREF: canonical basis of the row space."""
-    A, pivots = _rref(M)
-    return _array_matrix(M.field, A[:len(pivots)])
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -640,21 +629,20 @@ def _weights(words, width: int):
     return nonzero.sum(axis=0, dtype=np.min_scalar_type(len(nonzero) + 1))
 
 
-def _weigh(words, width: int, best: int) -> int:
-    """The least of best and the weights of the nonzero words (columns)."""
-    weights = _weights(words, width)
-    return int(weights.min(initial=best, where=weights > 0))
+def _weight_distribution(F: GF, rows, n: int) -> np.ndarray:
+    """counts[w]: the number of normalized words x·rows (see _word_blocks) of
+    weight w, each standing for its q - 1 multiples."""
+    width = _enumeration_ops(F)[2]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for words in _word_blocks(F, rows):
+        counts += np.bincount(_weights(words, width), minlength=n + 1)
+    return counts
 
 
 def _min_weight(F: GF, rows, n: int) -> int:
-    """Least weight of the words x·rows, x != 0, with early exit at weight 1;
-    n + 1 when there are no rows."""
-    width, best = _enumeration_ops(F)[2], n + 1
-    for words in _word_blocks(F, rows):
-        best = _weigh(words, width, best)
-        if best == 1:
-            break
-    return best
+    """Least weight of the words x·rows, x != 0; n + 1 when there are no rows."""
+    nonzero = np.flatnonzero(_weight_distribution(F, rows, n)[1:])  # weights 1..n
+    return int(nonzero[0]) + 1 if nonzero.size else n + 1
 
 
 def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -697,10 +685,7 @@ def _distance_from_dual(F: GF, rows, n: int) -> int:
     Sloane, ch. 5): |C^⊥|·A_j = Σ_i B_i·K_j(i).  B_0 = 1, and each normalized
     word of weight i stands for its q - 1 multiples.  The least j >= 1 with
     A_j != 0, in exact integers; n + 1 when there is none."""
-    q, width = F.q, _enumeration_ops(F)[2]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for words in _word_blocks(F, rows):
-        counts += np.bincount(_weights(words, width), minlength=n + 1)
+    q, counts = F.q, _weight_distribution(F, rows, n)
     B = {0: 1, **{i: (q - 1) * int(c) for i, c in enumerate(counts) if c}}
     for j in range(1, n + 1):
         if sum(b * _krawtchouk(j, i, n, q) for i, b in B.items()):
@@ -711,10 +696,11 @@ def _distance_from_dual(F: GF, rows, n: int) -> int:
 def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """Exact minimum Hamming weight over all nonzero codewords.
 
-    Enumerates one message per projective point with the meet-in-the-middle
-    kernel, of C itself with early exit at weight 1 when k <= n - k, else of
-    its dual C^⊥, the row space of H, whose q^(n-k) words give d through the
-    MacWilliams identity (_distance_from_dual).  The zero code reports n + 1.
+    Counts the weights of one message per projective point with the
+    meet-in-the-middle kernel (_weight_distribution), of C itself when
+    k <= n - k, where d is the least nonzero weight, else of its dual C^⊥, the
+    row space of H, whose q^(n-k) words give d through the MacWilliams
+    identity (_distance_from_dual).  The zero code reports n + 1.
     Raises EnumerationCapError when q^k exceeds the cap, whichever side is
     enumerated, so callers can fall back to bch_bound.
     """

@@ -431,31 +431,23 @@ def lcd_cyclic_family(q: int, m: int, delta: int) -> QuentaParams:
             q, n, kappa, d, LOWER_BOUND, c,
             family="li-lcd", case="m-even", inputs=inputs,
         )
-    k, case, u_echo, v_echo = None, None, None, None
+    # with u = delta // q^m in 1..q-1, branch 2 takes u·q^m <= delta <=
+    # (u + 1)(q^m - 1) and branch 3 the u deltas after it, (u + 1)(q^m - 1) +
+    # v + 1 for 0 <= v < u; branch 4 takes q^(m+1) and q^(m+1) + 1
     qm = q ** m
-    if 2 <= delta <= qm - 1:
+    if delta < qm:
         k, case = kappa, "branch1"
-    if k is None:
-        for u in range(1, q):
-            if u * qm <= delta <= (u + 1) * (qm - 1):
-                k, case, u_echo = kappa + u * u * m, "branch2", u
-                break
-    if k is None:
-        for u in range(1, q):
-            for v in range(u):
-                if delta == (u + 1) * (qm - 1) + v + 1:
-                    k, case, u_echo, v_echo = kappa + (u * u + 2 * v + 1) * m, "branch3", u, v
-                    break
-            if k is not None:
-                break
-    if k is None and delta in (q ** (m + 1), q ** (m + 1) + 1):
+    elif delta < q ** (m + 1):
+        u = delta // qm
+        v = delta - (u + 1) * (qm - 1) - 1
+        inputs.append(("u", u))
+        if v < 0:
+            k, case = kappa + u * u * m, "branch2"
+        else:
+            k, case = kappa + (u * u + 2 * v + 1) * m, "branch3"
+            inputs.append(("v", v))
+    else:
         k, case = kappa + q * q * m, "branch4"
-    if k is None:
-        raise ValueError(f"delta = {delta} matches no dimension branch for odd m")
-    if u_echo is not None:
-        inputs.append(("u", u_echo))
-    if v_echo is not None:
-        inputs.append(("v", v_echo))
     return _params(
         q, n, k, d, LOWER_BOUND, n - k,
         family="li-lcd", case=case, inputs=inputs,

@@ -290,13 +290,6 @@ class GF:
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.q - 1
-        return n // math.gcd(n, self._log[a])
-
     def nth_root_of_unity(self, n: int) -> int:
         """beta = alpha^((q-1)/n); has multiplicative order exactly n."""
         if n < 1 or (self.q - 1) % n != 0:

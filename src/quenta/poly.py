@@ -37,9 +37,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
 
 def poly(field: GF, coeffs) -> Poly:
     """Build a Poly, trimming trailing zeros to canonical form."""

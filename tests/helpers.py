@@ -9,7 +9,6 @@ from quenta.code import (
     hermitian_dual_code,
     kernel_basis,
     rank,
-    row_space_basis,
     stack,
 )
 from quenta.defset import DefiningSet, defset
@@ -19,9 +18,39 @@ from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n
 
 def code_from_rows(field: GF, rows, n: int, origin: DefiningSet | None = None) -> LinearCode:
     """The code spanned by the given rows; G and H in canonical RREF form."""
-    G = row_space_basis(Matrix(field, rows, n))
-    H = kernel_basis(G)
-    return LinearCode(field, n, G, H, origin)
+    reduced, pivots = reference_rref(Matrix(field, rows, n))
+    G = Matrix(field, reduced[:len(pivots)], n)
+    return LinearCode(field, n, G, kernel_basis(G), origin)
+
+
+def reference_rref(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """(RREF rows, pivot columns) by per-entry field arithmetic, first-nonzero
+    row-major pivoting; the kernels' reference."""
+    F = M.field
+    rows = [list(r) for r in M.rows]
+    pivots = []
+    pr = 0
+    for pc in range(M.ncols):
+        pivot_row = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = F.inv(rows[pr][pc])
+        if inv != 1:
+            rows[pr] = [F.mul(inv, e) for e in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [F.sub(e, F.mul(f, p)) for e, p in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
 
 
 def dual_code(C: LinearCode) -> LinearCode:
@@ -106,7 +135,7 @@ def mod(a: Poly, b: Poly) -> Poly:
 
 
 def monic(a: Poly) -> Poly:
-    if a.is_zero() or a.is_monic():
+    if a.is_zero() or a.coeffs[-1] == 1:
         return a
     return scale(a, a.field.inv(a.coeffs[-1]))
 
@@ -142,3 +171,21 @@ def evaluate(f: Poly, x: int, ext: GF | None = None) -> int:
     for c in reversed(f.coeffs):
         acc = ext.add(ext.mul(acc, x), emb.up(c))
     return acc
+
+
+def li_lcd_branch_by_search(q: int, m: int, delta: int) -> tuple[str, int | None, int | None]:
+    """(case, u, v) of lcd_cyclic_family's odd-m dimension branches, found by
+    trying every u and v in turn; None where a branch has no such parameter."""
+    qm = q ** m
+    if 2 <= delta <= qm - 1:
+        return "branch1", None, None
+    for u in range(1, q):
+        if u * qm <= delta <= (u + 1) * (qm - 1):
+            return "branch2", u, None
+    for u in range(1, q):
+        for v in range(u):
+            if delta == (u + 1) * (qm - 1) + v + 1:
+                return "branch3", u, v
+    if delta in (q ** (m + 1), q ** (m + 1) + 1):
+        return "branch4", None, None
+    raise ValueError(f"delta = {delta} matches no dimension branch for odd m")

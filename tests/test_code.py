@@ -21,8 +21,6 @@ from quenta.code import (
     min_distance_exhaustive,
     product,
     rank,
-    row_space_basis,
-    rref,
     stack,
     transpose,
 )
@@ -49,6 +47,7 @@ from helpers import (
     hermitian_hull_dim,
     hull_dim,
     intersection_dim_matrices,
+    reference_rref,
 )
 
 F2 = field_create(2, 1)
@@ -72,14 +71,14 @@ def test_matrix_validation():
 
 def test_rref_golden():
     M = Matrix(F3, [(1, 2, 0), (0, 1, 2), (1, 0, 2)], 3)
-    R = rref(M)
-    assert R.rows == ((1, 0, 2), (0, 1, 2), (0, 0, 0))
+    R, pivots = code_module._rref(M)
+    assert (R.tolist(), pivots) == ([[1, 0, 2], [0, 1, 2], [0, 0, 0]], [0, 1])
     assert rank(M) == 2
 
 
 def test_rref_identity_fixed_point():
     I = Matrix(F7, [[int(i == j) for j in range(4)] for i in range(4)], 4)
-    assert rref(I).rows == I.rows
+    assert code_module._rref(I)[0].tolist() == list(map(list, I.rows))
     assert rank(I) == 4
     assert rank(Matrix(F7, [(0,) * 5] * 3, 5)) == 0
 
@@ -380,7 +379,7 @@ def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, counted, b
     assert code_module._min_weight(C.field, C.G.rows, C.n) == 2
     assert counted[0] == (4 ** 11 - 1) // 3 == 1_398_101
     # over GF(2) every nonzero message is normalized: the [15, 11] Hamming code
-    # (d = 3, so no early exit) weighs all of them and no zero message
+    # weighs all of them and no zero message
     counted[0] = 0
     C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
     assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (11, 3)
@@ -404,6 +403,26 @@ def test_high_rate_codes_are_measured_through_their_duals(counted):
     C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
     assert min_distance_exhaustive(C) == 3
     assert counted[0] == 2 ** 4 - 1
+
+
+@pytest.mark.parametrize("block", [code_module._BLOCK, 16])
+def test_distance_weighs_every_normalized_word_of_the_smaller_side(monkeypatch, counted, block):
+    # one min_distance_exhaustive call weighs (q^s - 1)/(q - 1) words, s = min(k, n - k):
+    # over GF(4) at n = 15, a [15, 6] code directly and a [15, 9] code through its dual
+    monkeypatch.setattr(code_module, "_BLOCK", block)
+    ext = splitting_field(4, 15)
+    for Z, k, d in (({1, 2, 3, 4, 5, 6, 8, 9, 12}, 6, 7), ({1, 2, 3, 4, 8, 12}, 9, 5)):
+        counted[0] = 0
+        C = cyclic_code(defset(15, 4, Z), F4, ext)
+        assert (C.k, min_distance_exhaustive(C)) == (k, d)
+        assert counted[0] == (4 ** 6 - 1) // 3 == 1365
+    # a weight-1 word stops nothing: all (4^5 - 1)/3 words of a [10, 5, 1] code are weighed
+    counted[0] = 0
+    rows = [(1, 0, 2, 0, 3, 3, 3, 3, 1, 0), (3, 0, 3, 3, 0, 3, 2, 1, 0, 2),
+            (0, 0, 0, 0, 3, 1, 3, 0, 1, 3), (3, 1, 2, 1, 1, 3, 2, 0, 3, 0), (0,) * 9 + (1,)]
+    C = code_from_rows(F4, rows, 10)
+    assert (C.k, min_distance_exhaustive(C)) == (5, 1)
+    assert counted[0] == (4 ** 5 - 1) // 3 == 341
 
 
 # q -> lengths of its cyclic codes: the lane fields, and one numpy-engine
@@ -470,38 +489,8 @@ def reference_product(A, B):
     return out
 
 
-def reference_rref(M):
-    """RREF by per-entry field arithmetic, first-nonzero row-major pivoting;
-    the kernels' reference."""
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    pivots = []
-    pr = 0
-    for pc in range(M.ncols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = F.inv(rows[pr][pc])
-        if inv != 1:
-            rows[pr] = [F.mul(inv, e) for e in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [F.sub(e, F.mul(f, p)) for e, p in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
-
-
 def reference_outputs(M, B):
-    """rref, rank, row-space basis, kernel basis and product by the reference loops."""
+    """Rank, kernel basis and product by the reference loops."""
     F = M.field
     rows, pivots = reference_rref(M)
     kernel = []
@@ -511,8 +500,7 @@ def reference_outputs(M, B):
         for i, pc in enumerate(pivots):
             v[pc] = F.neg(rows[i][f])
         kernel.append(v)
-    return tuple(tuple(map(tuple, m)) if isinstance(m, list) else m for m in (
-        rows, len(pivots), rows[:len(pivots)], kernel, reference_product(M, B)))
+    return len(pivots), tuple(map(tuple, kernel)), tuple(map(tuple, reference_product(M, B)))
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F5, F8, F9, F16, field_create(3, 3)])
@@ -570,31 +558,29 @@ def _bch_hermit_stack():
 
 
 def _check_kernels(M, B):
-    """rref, rank, row-space basis, kernel basis, product and Frobenius map of
-    the field's one engine against the reference loops."""
+    """Rank, kernel basis, product and Frobenius map of the field's one engine
+    against the reference loops."""
     F = M.field
     # a kernel result whose tuple rows were never derived: over a lane field
     # only its lane rows reach the row reduction
     T = transpose(M)
     assert T._rows is None or code_module._lanes(F) is None
-    reduced = (rref(T).rows, rank(T), row_space_basis(T).rows, kernel_basis(T).rows)
-    assert reduced == reference_outputs(T, M)[:4]
-    outputs = (rref(M).rows, rank(M), row_space_basis(M).rows, kernel_basis(M).rows,
-               product(M, B).rows)
+    assert (rank(T), kernel_basis(T).rows) == reference_outputs(T, M)[:2]
+    outputs = (rank(M), kernel_basis(M).rows, product(M, B).rows)
     assert outputs == reference_outputs(M, B)
-    rows, r, basis, kernel, prod = outputs
+    r, kernel, prod = outputs
     # over GF(2) B keeps its Four Russians tables, which the second product
     # reads warm; every other field keeps nothing
     assert (B._row_sums is not None) == (F.q == 2)
     assert product(M, B).rows == prod
     assert type(r) is int
-    assert all(type(e) is int for m in (rows, basis, kernel, prod) for row in m for e in row)
+    assert all(type(e) is int for m in (kernel, prod) for row in m for e in row)
     q0 = math.isqrt(F.q)
     if q0 * q0 == F.q:
         assert frobenius_entrywise(M, q0).rows == tuple(tuple(F.pow(e, q0) for e in r) for r in M.rows)
     # a kernel's result and the same matrix built from its tuple rows are equal
     # and hash alike; stack and transpose keep row and column order
-    for R in (rref(M), row_space_basis(M), kernel_basis(M), product(M, B), transpose(M)):
+    for R in (kernel_basis(M), product(M, B), transpose(M)):
         rebuilt = Matrix(R.field, R.rows, R.ncols)
         assert R == rebuilt and hash(R) == hash(rebuilt)
         assert R.nrows == len(R.rows)
@@ -604,7 +590,7 @@ def _check_kernels(M, B):
         assert T.rows == (tuple(zip(*R.rows)) if R.rows else ((),) * R.ncols)
         assert (T.nrows, T.ncols) == (R.ncols, R.nrows) and transpose(T) == R
         assert T == Matrix(R.field, T.rows, T.ncols)
-    assert stack(M, rref(M)).rows == M.rows + rows
+    assert stack(M, kernel_basis(M)).rows == M.rows + kernel
     assert transpose(M).rows == (tuple(zip(*M.rows)) if M.rows else ((),) * M.ncols)
     L = code_module._lanes(F)
     if L:  # every translate table sends the invalid codes, padded lanes among them, to 0
@@ -649,11 +635,11 @@ def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
         raise AssertionError("lane rows unpacked")
 
     monkeypatch.setattr(code_module._Lanes, "unpack", refuse)
-    assert rank(M) == 2 and rank(rref(M)) == 2 and rank(kernel_basis(M)) == 2
+    assert rank(M) == 2 and rank(kernel_basis(M)) == 2
     assert [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes] == expected
     assert [entanglement_rank_hermitian(C, q0) for C, q0 in hermitian] == expected_hermitian
     with pytest.raises(AssertionError, match="unpacked"):
-        rref(M).rows  # a kernel result has no tuple rows until they are read
+        kernel_basis(M).rows  # a kernel result has no tuple rows until they are read
 
 
 def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):

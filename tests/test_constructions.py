@@ -20,6 +20,8 @@ from quenta.constructions import (
 )
 from quenta.defset import bch_bound, defset, rs_defset
 
+from helpers import li_lcd_branch_by_search
+
 
 # ----------------------------------------------------------------------
 # Euclidean pair construction
@@ -431,6 +433,18 @@ def test_lcd_family_rejections():
         lcd_cyclic_family(2, 3, 1)
     with pytest.raises(ValueError):
         lcd_cyclic_family(2, 3, 18)      # above q^{2*ceil(m/2)} + 1 = 17
+
+
+def test_lcd_family_odd_m_branches_match_the_search():
+    # every delta for q <= 7 at m = 3 and q <= 3 at m = 5: 4,172 triples
+    triples = [(q, m, delta) for m, qs in ((3, (2, 3, 4, 5, 7)), (5, (2, 3)))
+               for q in qs for delta in range(2, q ** (m + 1) + 2)]
+    assert len(triples) == 4172
+    for q, m, delta in triples:
+        p = lcd_cyclic_family(q, m, delta)
+        inputs = dict(p.inputs)
+        found = (p.case, inputs.get("u"), inputs.get("v"))
+        assert found == li_lcd_branch_by_search(q, m, delta), (q, m, delta)
 
 
 # ----------------------------------------------------------------------
