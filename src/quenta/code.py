@@ -327,15 +327,35 @@ def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
 class _ArrayField:
     """F's arithmetic on int64 arrays of F's own tables: products through the
     log/antilog lists, differences by XOR (characteristic 2), mod p (prime
-    fields) or Zech logarithms (odd extension fields)."""
+    fields) or Zech logarithms (odd extension fields).  The enumerator's words
+    are ``encode``d as ints that ``add`` XORs (characteristic 2), or as
+    ``width`` = m base-p digits per symbol that ``add`` sums mod p."""
 
     def __init__(self, F: GF):
-        self.p, self.m, self.q1 = F.p, F.m, F.q - 1
+        p, m = F.p, F.m
+        self.p, self.m, self.q1 = p, m, F.q - 1
         self.exp = np.array(F._exp, dtype=np.int64)
         self.log = np.array(F._log, dtype=np.int64)
-        if F.p != 2 and F.m > 1:
+        if p == 2:
+            dtype = np.min_scalar_type(self.q1)
+            self.encode = lambda a: a.astype(dtype)
+            self.add, self.width = np.bitwise_xor, 1
+            return
+        if m > 1:
             self.half = self.q1 // 2  # alpha^half = -1
             self.zech = np.array(F._zech, dtype=np.int64)
+        dtype = np.min_scalar_type(2 * (p - 1))
+        radix, p_t = p ** np.arange(m), dtype.type(p)
+
+        def encode(a):
+            return (a[..., None] // radix % p).reshape(*a.shape[:-1], a.shape[-1] * m).astype(dtype)
+
+        def add(a, b):
+            total = a + b
+            # unsigned: total - p wraps above total exactly when total < p
+            return np.minimum(total, total - p_t)
+
+        self.encode, self.add, self.width = encode, add, m
 
     def sub_outer(self, a, f, P):
         """a - f ⊗ P for a column f of nonzero scalars and a row P."""
@@ -349,9 +369,7 @@ class _ArrayField:
         return np.where(P == 0, a, np.where(a == 0, self.exp[ly], s))
 
 
-@lru_cache(maxsize=None)
-def _array_field(F: GF) -> _ArrayField:
-    return _ArrayField(F)
+_array_field = lru_cache(maxsize=None)(_ArrayField)  # one per field
 
 
 def _rref(M: Matrix) -> tuple[np.ndarray, list[int]]:
@@ -469,7 +487,6 @@ class LinearCode:
     n: int
     G: Matrix
     H: Matrix
-    origin: DefiningSet | None = None
 
     def __post_init__(self):
         if self.G.ncols != self.n or self.H.ncols != self.n:
@@ -510,13 +527,13 @@ def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:
     H = Matrix(base, tuple(
         (0,) * i + hc + (0,) * (n - len(hc) - i) for i in range(n - k)
     ), n)
-    return LinearCode(base, n, G, H, Z)
+    return LinearCode(base, n, G, H)
 
 
 def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
     """{x : x . c^q0 = 0 for all c in C} over GF(q0^2); its parity check is C's G^q0."""
     Gf = frobenius_entrywise(C.G, q0)
-    return LinearCode(C.field, C.n, kernel_basis(Gf), Gf, None)
+    return LinearCode(C.field, C.n, kernel_basis(Gf), Gf)
 
 
 # ----------------------------------------------------------------------
@@ -526,34 +543,9 @@ def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
 _BLOCK = 1 << 13  # most words of the low group's span in one numpy block
 
 
-@lru_cache(maxsize=None)
-def _enumeration_ops(F: GF):
-    """(encode, add, width) for the enumerator's element arrays over F.
-
-    Characteristic 2 XORs the int encodings; odd characteristic stores
-    ``width`` = m base-p digits per symbol and adds them mod p.
-    """
-    p, m = F.p, F.m
-    if p == 2:
-        dtype = np.min_scalar_type(F.q - 1)
-        return (lambda a: a.astype(dtype)), np.bitwise_xor, 1
-    dtype = np.min_scalar_type(2 * (p - 1))
-    radix, p_t = p ** np.arange(m), dtype.type(p)
-
-    def encode(a):
-        return (a[..., None] // radix % p).reshape(*a.shape[:-1], a.shape[-1] * m).astype(dtype)
-
-    def add(a, b):
-        total = a + b
-        # unsigned: total - p wraps above total exactly when total < p
-        return np.minimum(total, total - p_t)
-
-    return encode, add, m
-
-
 def _word_blocks(F: GF, rows):
     """The codewords x·rows of the normalized messages x, encoded (see
-    _enumeration_ops) as the columns of blocks of about _BLOCK words, so that
+    _ArrayField) as the columns of blocks of about _BLOCK words, so that
     a weight is a sum over contiguous rows.
 
     Scaling a word keeps its weight and its span, so only the
@@ -570,8 +562,8 @@ def _word_blocks(F: GF, rows):
     k = len(rows)
     if not k:
         return
-    encode, add, _ = _enumeration_ops(F)
     q, ops = F.q, _array_field(F)
+    encode, add = ops.encode, ops.add
     logs = ops.log[np.array(rows, dtype=np.int64)]
     k_lo = 1
     while k_lo < k and q ** (k_lo + 1) <= _BLOCK:
@@ -632,7 +624,7 @@ def _weights(words, width: int):
 def _weight_distribution(F: GF, rows, n: int) -> np.ndarray:
     """counts[w]: the number of normalized words x·rows (see _word_blocks) of
     weight w, each standing for its q - 1 multiples."""
-    width = _enumeration_ops(F)[2]
+    width = _array_field(F).width
     counts = np.zeros(n + 1, dtype=np.int64)
     for words in _word_blocks(F, rows):
         counts += np.bincount(_weights(words, width), minlength=n + 1)
@@ -656,7 +648,7 @@ def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     "Matroids and the greedy algorithm", 1971).  Only the symbols of an
     information set of G, its own pivot columns, are reduced: on them, words
     are independent exactly when their messages are."""
-    F, width = G.field, _enumeration_ops(G.field)[2]
+    F, width = G.field, _array_field(G.field).width
     info = _pivot_columns(G)
     kept, kept_weights = np.zeros((G.ncols, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
     for words in _word_blocks(F, G.rows):

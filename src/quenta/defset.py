@@ -12,11 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Distinct defining sets whose dual set and coset-closedness stay memoised.  A
-# euclid-pair grid pairs every subset with every other, so a grid of up to this
-# many subsets derives each once; euclid-pair over GF(2) at n = 31 has 128.
-_DEFSET_MEMO_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class DefiningSet:
@@ -61,7 +56,7 @@ class DefiningSet:
             )
 
 
-@lru_cache(maxsize=_DEFSET_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _is_coset_closed(Z: DefiningSet) -> bool:
     s = set(Z.elems)
     return {(i * Z.q) % Z.n for i in s} <= s
@@ -126,7 +121,7 @@ def coset_closed_subsets(n: int, q: int, a: int = 1):
         yield defset(n, q, (i for j, cs in enumerate(cosets) if mask >> j & 1 for i in cs.elems))
 
 
-@lru_cache(maxsize=_DEFSET_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def euclidean_dual_defset(Z: DefiningSet) -> DefiningSet:
     """Z(C^dual) = Z_n minus the negation of Z mod n."""
     neg = {(-i) % Z.n for i in Z.elems}

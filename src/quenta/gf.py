@@ -13,14 +13,15 @@ polynomial, scanning coefficient vectors from the smallest integer encoding
 upward, whose residue class of x generates the full multiplicative group
 (such a polynomial is irreducible over GF(p)).  A process-wide override
 registry lets a config file substitute a different (validated) modulus per
-(p, m); a change to it drops every field built under the old one.
+(p, m).  Only this module turns numbers into fields and memoises them, and a
+change to the registry drops those memos.  A memo elsewhere needs no notice:
+it is keyed by GF objects, whose equality includes the modulus.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 MAX_ORDER = 1 << 20
 # Degree 12 admits the splitting fields GF(2^10) and GF(2^12) that the
@@ -28,7 +29,6 @@ MAX_ORDER = 1 << 20
 MAX_DEGREE = 12
 
 _modulus_overrides: dict[tuple[int, int], tuple[int, ...]] = {}
-_override_listeners: list[Callable[[], None]] = []
 
 
 def is_prime(p: int) -> bool:
@@ -129,12 +129,6 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
-def on_modulus_change(clear: Callable[[], None]) -> None:
-    """Register ``clear``, called whenever the set of modulus overrides changes:
-    a memo of fields, kept outside this module, drops them with ``_build_field``'s."""
-    _override_listeners.append(clear)
-
-
 def set_modulus_overrides(moduli: dict[tuple[int, int], tuple[int, ...]]) -> None:
     """Make ``moduli``, (p, m) -> coefficients, the whole override registry.
 
@@ -148,9 +142,8 @@ def set_modulus_overrides(moduli: dict[tuple[int, int], tuple[int, ...]]) -> Non
         return
     _modulus_overrides.clear()
     _modulus_overrides.update(moduli)
-    _build_field.cache_clear()
-    for clear in _override_listeners:
-        clear()
+    for memo in _FIELD_MEMOS:
+        memo.cache_clear()
 
 
 class ModulusError(ValueError):
@@ -194,11 +187,13 @@ class GF:
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
         q1 = q - 1
-        # reduction of top·x^m expressed as an element value, for each digit top
+        # reds[top] = top·red digit-wise: the reduction of top·x^m as an element value
         red = 0
         for i in range(m):
             red += ((-self.modulus[i]) % p) * p ** i
-        reds = [self._digit_scale(red, top) for top in range(p)]
+        reds = [0]
+        for _ in range(p - 1):
+            reds.append(self._digit_add(reds[-1], red))
         hi = p ** (m - 1)
         # exp is the antilog list twice over, then 0 up to index 4(q - 1);
         # log(0) = 2(q - 1) lies past every sum of two nonzero logs
@@ -255,16 +250,6 @@ class GF:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
             out += ((da + db) % p) * mult
-            mult *= p
-        return out
-
-    def _digit_scale(self, a: int, s: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            a, da = divmod(a, p)
-            out += ((da * s) % p) * mult
             mult *= p
         return out
 
@@ -329,6 +314,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return q, 1
 
 
+@lru_cache(maxsize=None)
 def field_from_order(q: int) -> GF:
     """GF(q) for a prime power q."""
     pm = prime_power(q)
@@ -384,6 +370,7 @@ def embedding(sub: GF, ext: GF) -> Embedding:
     return Embedding(sub, ext)
 
 
+@lru_cache(maxsize=None)
 def splitting_field(q: int, n: int) -> GF:
     """The smallest extension of GF(q) containing primitive n-th roots of unity."""
     if math.gcd(n, q) != 1:
@@ -397,3 +384,7 @@ def splitting_field(q: int, n: int) -> GF:
         if s > 64:
             raise ValueError("no multiplicative order found")
     return field_create(base.p, base.m * s)
+
+
+# held as objects: a profiler may rebind the public names to wrappers
+_FIELD_MEMOS = (_build_field, field_from_order, splitting_field)

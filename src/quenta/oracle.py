@@ -43,13 +43,13 @@ from .defset import (
     hermitian_dual_defset,
     intersection_dim,
 )
-from .gf import GF, ModulusError, field_create, on_modulus_change, prime_power, splitting_field
+from .gf import GF, ModulusError, field_from_order, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
 RELATIVE_DISTANCE_CAP = 1 << 10
-# distinct cyclic codes kept with their distances: a euclid-pair grid's inner
-# loop over Z2 revisits every code once per Z1, so a grid of up to this many
-# codes (2^20 instances) builds each once; GF(5) at n = 12 has 256
+# distinct cyclic codes kept with their distances.  Bounded, unlike the light
+# memos: a LinearCode is heavy, and some grids never repeat one (rs-mds at
+# q = 97 builds 1,176 distinct codes, hermitian at q = 4, n = 15 builds 32,768)
 _CODE_MEMO_SIZE = 1024
 
 SKIPPED = "skipped_cap"
@@ -205,15 +205,14 @@ def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
     return _family(p.family).verify(p, matrix_cap, distance_cap)
 
 
-@lru_cache(maxsize=None)
 def _materialize_base(q: int, n: int, matrix_cap: int):
     """(base_field, ext_field) or (None, reason); q is a prime power.
 
-    Built once per key; gf drops the memo whenever the modulus overrides
-    change.  An error is not memoised, so a bad override raises on every call.
+    gf memoises both fields, and drops them whenever the modulus overrides
+    change.  The base field is built first, so that a bad override of its
+    modulus raises even when n exceeds the matrix cap.
     """
-    # field construction errors (e.g. a bad modulus override) must surface
-    base = field_create(*prime_power(q))
+    base = field_from_order(q)
     if n > matrix_cap:
         return None, f"n = {n} exceeds matrix cap {matrix_cap}"
     if math.gcd(n, base.p) != 1:
@@ -225,9 +224,6 @@ def _materialize_base(q: int, n: int, matrix_cap: int):
     except ValueError as exc:
         return None, f"splitting field unavailable: {exc}"
     return (base, ext), None
-
-
-on_modulus_change(_materialize_base.cache_clear)
 
 
 def _skip_rank_rows(p: QuentaParams, pred_int: int, lcd: bool, reason) -> VerificationReport:

@@ -116,7 +116,7 @@ def _root_product(indices, n: int, base: GF, ext: GF) -> Poly:
     return poly(base, [emb.down(c) for c in prod.coeffs])
 
 
-@lru_cache(maxsize=1024)  # a sweep over one length needs at most n
+@lru_cache(maxsize=None)
 def minimal_polynomial(i: int, n: int, base: GF, ext: GF) -> Poly:
     """Monic polynomial over the base field whose roots are beta^j, j in the coset of i."""
     return _root_product(cyclotomic_coset(i, n, base.q).elems, n, base, ext)

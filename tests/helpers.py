@@ -16,11 +16,11 @@ from quenta.gf import GF, embedding
 from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n_minus_one, zero
 
 
-def code_from_rows(field: GF, rows, n: int, origin: DefiningSet | None = None) -> LinearCode:
+def code_from_rows(field: GF, rows, n: int) -> LinearCode:
     """The code spanned by the given rows; G and H in canonical RREF form."""
     reduced, pivots = reference_rref(Matrix(field, rows, n))
     G = Matrix(field, reduced[:len(pivots)], n)
-    return LinearCode(field, n, G, kernel_basis(G), origin)
+    return LinearCode(field, n, G, kernel_basis(G))
 
 
 def reference_rref(M: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -55,7 +55,7 @@ def reference_rref(M: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def dual_code(C: LinearCode) -> LinearCode:
     """Euclidean dual: the parity-check matrix becomes the generator."""
-    return LinearCode(C.field, C.n, C.H, C.G, None)
+    return LinearCode(C.field, C.n, C.H, C.G)
 
 
 def intersection_dim_matrices(A: Matrix, B: Matrix) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenta import cli, gf, oracle
+from quenta import cli, gf
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
 from quenta.oracle import FAMILIES, instances, verify_instance
@@ -552,23 +552,16 @@ def test_modulus_override_does_not_leak_into_the_next_call(tmp_path, capsys):
     assert json.loads(out)["verification"]["passed"] is True
 
 
-def test_sweep_materializes_its_fields_once(capsys, monkeypatch):
-    built = []
-
-    def counted(q, n):
-        built.append((q, n))
-        return gf.splitting_field(q, n)
-
-    monkeypatch.setattr(oracle, "splitting_field", counted)
-    oracle._materialize_base.cache_clear()
+def test_sweep_materializes_its_fields_once(capsys):
+    gf.splitting_field.cache_clear()
     code, out, _ = run(capsys, "verify", "--family", "euclid-pair", "--q", "2", "--n", "15")
     assert code == 0
     assert out.splitlines()[-1] == "1024 passed, 0 failed, 0 skipped"
-    assert built == [(2, 15)]
+    assert gf.splitting_field.cache_info().misses == 1
     # a later call with the same (empty) set of overrides keeps the fields
     code, out, _ = run(capsys, "verify", "--family", "euclid-lcd", "--q", "2", "--n", "15")
     assert code == 0
-    assert built == [(2, 15)]
+    assert gf.splitting_field.cache_info().misses == 1
 
 
 def test_parse_config_defaults_and_comments():

@@ -138,7 +138,6 @@ def test_cyclic_code_hamming():
     ext = splitting_field(2, 7)
     C = cyclic_code(defset(7, 2, {1, 2, 4}), F2, ext)
     assert (C.n, C.k) == (7, 4)
-    assert C.origin.as_set() == {1, 2, 4}
     prod = product(C.G, transpose(C.H))
     assert all(all(e == 0 for e in r) for r in prod.rows)
 

@@ -288,23 +288,27 @@ def test_modulus_override_rejects_reducible():
         set_modulus_overrides({})
 
 
-def test_modulus_overrides_replace_the_registry_and_notify_only_on_change(monkeypatch):
-    cleared = []
-    monkeypatch.setattr(gf_module, "_override_listeners", [lambda: cleared.append(1)])
+def _fields_of_order_8():
+    """GF(8) through each of gf's three field memos."""
+    return field_create(2, 3), field_from_order(8), splitting_field(2, 7)
+
+
+def test_modulus_overrides_replace_the_registry_and_rebuild_fields_only_on_change():
     other = (1, 0, 1, 1)
     try:
         set_modulus_overrides({(2, 3): other, (2, 2): (1, 1, 1)})
-        assert len(cleared) == 1
+        fields = _fields_of_order_8()
+        assert [F.modulus for F in fields] == [other] * 3
         set_modulus_overrides({(2, 2): (1, 1, 1), (2, 3): list(other)})  # the same set
-        assert len(cleared) == 1
+        assert all(a is b for a, b in zip(fields, _fields_of_order_8()))
         set_modulus_overrides({(2, 3): other})  # (2, 2) removed
-        assert len(cleared) == 2
         assert gf_module._modulus_overrides == {(2, 3): other}
-        assert field_create(2, 3).modulus == other
+        rebuilt = _fields_of_order_8()
+        assert not any(a is b for a, b in zip(fields, rebuilt))
+        assert [F.modulus for F in rebuilt] == [other] * 3
     finally:
         set_modulus_overrides({})
-    assert len(cleared) == 3
-    assert field_create(2, 3).modulus != other
+    assert all(F.modulus != other for F in _fields_of_order_8())
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -320,7 +320,7 @@ def test_euclid_pair_sweep_weighs_each_ordered_pair_once(monkeypatch):
     # pair (Z1, Z2) needs rel(C1, C2.G) and rel(C2, C1.G); pair (Z2, Z1) needs them again
     calls = []
     monkeypatch.setattr(oracle, "relative_min_weight",
-                        lambda C, M: calls.append((C.origin, M)) or relative_min_weight(C, M))
+                        lambda C, M: calls.append((C.G, M)) or relative_min_weight(C, M))
     oracle._measured_cyclic_code.cache_clear()
     oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)

@@ -78,20 +78,33 @@ def test_verify_mix_matches_the_reference_in_reverse_under_configs(monkeypatch, 
     assert problems == []
 
 
-def test_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
+def _refused_then_reference_again(monkeypatch, tmp_path, override, modulus):
+    """hermitian --q 2 --n 5, whose splitting field GF(16) is a proper extension
+    of its base field GF(4), prints its reference; under the bad ``override``
+    it prints nothing and refuses ``modulus``; then the reference again."""
     monkeypatch.delenv("QUENTA_CONFIG", raising=False)
     run = _load_run(monkeypatch)
     argv = ("verify", "--family", "hermitian", "--q", "2", "--n", "5")
     ref = run.load_reference("verify-mix")[argv]
     assert _main(argv) == (ref["exit"], ref["stdout"])
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("modulus.2.4 = 1,0,0,0,1\n")  # (x + 1)^4; GF(16) splits x^5 - 1 over GF(4)
+    cfg.write_text(f"{override}\n")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert _main(["--config", str(cfg), *argv]) == (1, "")
-    assert err.getvalue() == (
-        "error: modulus (1, 0, 0, 0, 1) is reducible or not primitive over GF(2)\n")
+    assert err.getvalue() == f"error: modulus {modulus} is reducible or not primitive over GF(2)\n"
     assert _main(argv) == (ref["exit"], ref["stdout"])
+
+
+def test_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
+    # (x + 1)^4, the splitting field's modulus
+    _refused_then_reference_again(monkeypatch, tmp_path, "modulus.2.4 = 1,0,0,0,1",
+                                  (1, 0, 0, 0, 1))
+
+
+def test_base_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
+    # (x + 1)^2, the base field's modulus: its own memo must drop GF(4) too
+    _refused_then_reference_again(monkeypatch, tmp_path, "modulus.2.2 = 1,0,1", (1, 0, 1))
 
 
 # sha256 over each note of the verify sweeps below followed by "\n", in sweep
