@@ -1,13 +1,15 @@
 """Command-line front end: single constructions, family tables, verify sweeps.
 
 Output is JSON by default (one object per row) or CSV with ``--format csv``.
-Exit codes: 0 success, 1 usage or precondition error, 2 verification failure.
+Exit codes: 0 success, 1 usage or precondition error, 2 verification failure,
+141 stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from functools import cache
 from itertools import chain
@@ -294,14 +296,24 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         set_modulus_overrides(cfg.moduli)  # exactly this call's: none left from an earlier one
         if args.command == "cosets":
-            return cmd_cosets(args)
-        if args.command == "construct":
-            return cmd_construct(args, cfg)
-        if args.command == "table":
-            return cmd_table(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        raise AssertionError(args.command)
+            code = cmd_cosets(args)
+        elif args.command == "construct":
+            code = cmd_construct(args, cfg)
+        elif args.command == "table":
+            code = cmd_table(args, cfg)
+        elif args.command == "verify":
+            code = cmd_verify(args, cfg)
+        else:
+            raise AssertionError(args.command)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): nothing was refused.  Later
+        # flushes, the interpreter's own at exit included, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (ValueError, SingletonViolationError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -246,19 +246,21 @@ def product(A: Matrix, B: Matrix) -> Matrix:
 # rank and products on lane rows, or numpy for fields without them; RREF on numpy
 # ----------------------------------------------------------------------
 
-def _echelon(M: Matrix) -> dict[int, int]:
+def _echelon(M: Matrix, kept: dict[int, int] | None = None) -> dict[int, int]:
     """Rows with distinct leading lanes spanning the lane rows of M, each with
     leading coefficient 1 and keyed by its bit length: each row is cleared by
     the rows already kept whose leading lane it has, highest first, until its
     own leading lane is new or it is zero.  A row whose leading coefficient is
     not 1 has a bit length that no kept row has; it is scaled to 1 and looked
     up again.  Over GF(2) every coefficient is 1 and the loop only XORs.  Over
-    odd fields the kept rows are stored negated, so clearing is one add."""
+    odd fields the kept rows are stored negated, so clearing is one add.
+    Given ``kept``, the echelon of other rows as wide as M's, M's rows are
+    reduced into a copy of it, which then spans both."""
     L = _lanes(M.field)
     b, nb, over = L.b, L.nbytes(M.ncols), L.over
     p, w1, minus = L.field.p, L.w - 1, L.minus
     K, H = L.carries[M.ncols]
-    lead: dict[int, int] = {}
+    lead: dict[int, int] = {} if kept is None else dict(kept)
     for x in M.lanes:
         while x:
             top = x.bit_length()
@@ -495,8 +497,12 @@ class LinearCode:
             raise ValueError("rank deficit: k + (n - k) != n")
         if not product(self.G, transpose(self.H)).is_zero():
             raise ValueError("G H^T != 0")
-        if rank(self.G) != self.G.nrows or rank(self.H) != self.H.nrows:
+        # H's echelon over a lane field, kept for stacked_rank
+        echelon = _echelon(self.H) if self.H.lanes is not None else None
+        h_rank = rank(self.H) if echelon is None else len(echelon)
+        if rank(self.G) != self.G.nrows or h_rank != self.H.nrows:
             raise ValueError("G or H is not full row rank")
+        object.__setattr__(self, "_H_echelon", echelon)
 
     @property
     def k(self) -> int:
@@ -510,6 +516,17 @@ class LinearCode:
         most w; weights[0] is the minimum distance.  Built once per code by
         one enumeration of its q^k words, which callers bound."""
         return _light_basis(self.G)
+
+
+def stacked_rank(C: LinearCode, M: Matrix) -> int:
+    """rk[H; M] for C's parity check H and rows M as long as C's words.  Over a
+    lane field only M's rows are reduced, into a copy of the echelon of H that
+    C kept from its own rank check."""
+    if C._H_echelon is None:
+        return rank(stack(C.H, M))
+    if M.field != C.field or M.ncols != C.n:
+        raise ValueError("stack requires same field and column count")
+    return len(_echelon(M, C._H_echelon))
 
 
 def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:

@@ -28,6 +28,11 @@ class DefiningSet:
             raise ValueError(f"elements outside [0, {self.n})")
         if tuple(sorted(set(self.elems))) != self.elems:
             raise ValueError("elements must be sorted and duplicate-free")
+        # defining sets key the code and distance memos: hash once, as GF does
+        object.__setattr__(self, "_hash", hash((self.n, self.q, self.elems)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.elems)

@@ -172,7 +172,8 @@ class GF:
         return (self.p, self.m, self.modulus)
 
     def __eq__(self, other):
-        return isinstance(other, GF) and self.key == other.key
+        # gf memoises fields, so an equal field is most often the same object
+        return self is other or isinstance(other, GF) and self.key == other.key
 
     def __hash__(self):
         return self._hash

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import constructions as cons
 from .code import (
@@ -30,7 +30,7 @@ from .code import (
     min_distance_exhaustive,
     product,
     rank,
-    stack,
+    stacked_rank,
     transpose,
 )
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, combine_min
@@ -56,8 +56,7 @@ SKIPPED = "skipped_cap"
 LOWER_OK = "lower_bound_ok"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     predicted: int
     measured: int | None
@@ -66,8 +65,7 @@ class ReportRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     case: str
     inputs: tuple[tuple[str, object], ...]
@@ -93,12 +91,14 @@ def _finish(p: QuentaParams, rows, notes=()) -> VerificationReport:
 # rank oracles
 # ----------------------------------------------------------------------
 
-def _entanglement_rank(H1: Matrix, G2: Matrix, H2: Matrix) -> int:
+def _entanglement_rank(C1: LinearCode, G2: Matrix, H2: Matrix) -> int:
     """rk(H1 H2^T) for C1 with parity check H1 and C2 with generator G2 and
-    parity check H2, cross-checked against dim C1-dual minus dim(C1-dual ∩ C2)."""
-    r = rank(product(H1, transpose(H2)))
+    parity check H2, cross-checked against dim C1-dual minus dim(C1-dual ∩ C2),
+    that is rk[H1; G2] - dim C2.  The stack's rank reduces G2 against the
+    echelon of H1 that C1 kept from its own rank check (stacked_rank)."""
+    r = rank(product(C1.H, transpose(H2)))
     # H1 and G2 are full row rank (LinearCode checked it): only the stack needs ranking
-    identity = rank(stack(H1, G2)) - G2.nrows
+    identity = stacked_rank(C1, G2) - G2.nrows
     if r != identity:
         raise AssertionError(f"rank {r} != dimension identity {identity}")
     return r
@@ -108,7 +108,7 @@ def entanglement_rank_euclid(C1: LinearCode, C2: LinearCode) -> int:
     """rk(H1 H2^T), cross-checked against dim C1-dual minus the intersection."""
     if C1.field != C2.field or C1.n != C2.n:
         raise ValueError("codes must share field and length")
-    return _entanglement_rank(C1.H, C2.G, C2.H)
+    return _entanglement_rank(C1, C2.G, C2.H)
 
 
 def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
@@ -118,7 +118,7 @@ def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
     Euclidean count of the pair (C, C^q0).  Frobenius maps the hull
     C ∩ (C^q0)-dual onto C-dual ∩ C^q0, so the identity's intersection is
     the hull's dimension."""
-    return _entanglement_rank(C.H, frobenius_entrywise(C.G, q0), frobenius_entrywise(C.H, q0))
+    return _entanglement_rank(C, frobenius_entrywise(C.G, q0), frobenius_entrywise(C.H, q0))
 
 
 def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):

@@ -1,8 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,11 +153,8 @@ _ROUND_TRIPS = [
 ]
 
 
-@pytest.mark.parametrize("family,grid,index,flags,kinds", _ROUND_TRIPS,
-                         ids=[case[0] for case in _ROUND_TRIPS])
-def test_construct_rebuilds_sweep_instance(capsys, monkeypatch, family, grid, index,
-                                           flags, kinds):
-    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+def _construct_argv(family, grid, index, flags, kinds):
+    """(instance, construct argv) of one _ROUND_TRIPS case."""
     p = instances(family, **grid)[index]
     argv = ["construct", family]
     for name in flags:
@@ -163,10 +164,32 @@ def test_construct_rebuilds_sweep_instance(capsys, monkeypatch, family, grid, in
         argv += ["--" + name.lower(), str(value)]
     for flag in kinds:
         argv += ["--" + flag, "lower_bound"]
+    return p, argv
+
+
+@pytest.mark.parametrize("family,grid,index,flags,kinds", _ROUND_TRIPS,
+                         ids=[case[0] for case in _ROUND_TRIPS])
+def test_construct_rebuilds_sweep_instance(capsys, monkeypatch, family, grid, index,
+                                           flags, kinds):
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    p, argv = _construct_argv(family, grid, index, flags, kinds)
     code, out, _ = run(capsys, *argv, "--verify")
     report = verify_instance(p)
     assert code == (0 if report.passed else 2)
     assert out == json.dumps(output_row(p, report), indent=2) + "\n"
+
+
+# sha256 over the stdout of construct --verify for each _ROUND_TRIPS case, in
+# order: ten JSON objects with their verification rows and notes
+CONSTRUCT_VERIFY_SHA256 = "663583f6866fe5ef0b6ffece9f7aa094a7e46135f8ef6d41848076c4f8325f64"
+
+
+def test_construct_verify_json_matches_the_digest(capsys, monkeypatch):
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    digest = hashlib.sha256()
+    for case in _ROUND_TRIPS:
+        digest.update(run(capsys, *_construct_argv(*case)[1], "--verify")[1].encode())
+    assert digest.hexdigest() == CONSTRUCT_VERIFY_SHA256
 
 
 def test_construct_parses_every_family_input():
@@ -436,6 +459,22 @@ def test_verify_bch_euclid_summary(capsys):
     assert len(lines) == 7
     assert all(line.startswith("PASS bch-euclid") for line in lines[:6])
     assert lines[-1] == "6 passed, 0 failed, 0 skipped"
+
+
+def test_a_closed_pipe_exits_141_without_an_error():
+    # the sweep prints about 190 KB, more than a pipe holds: once its reader has
+    # read one line and closed the pipe, a later write or the last flush fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("QUENTA_CONFIG", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quenta.cli", "verify", "--family", "rs-euclid", "--q", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"PASS rs-euclid q=11 n=10 ")
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_verify_rs_hermit_skips_distance_rows(capsys):

@@ -37,6 +37,7 @@ from quenta.gf import field_create, field_from_order, is_prime, prime_power, spl
 from quenta.oracle import (
     entanglement_rank_euclid,
     entanglement_rank_hermitian,
+    instances,
     relative_min_weight,
 )
 
@@ -549,11 +550,17 @@ def field_matrix(draw, F, nrows, ncols):
     return Matrix(F, rows, ncols)
 
 
-def _bch_hermit_stack():
-    """The 80 x 80 GF(9) stack [H; G^3] that bch-hermit --q 3 ranks."""
+def _bch_hermit_pair():
+    """A GF(9) code C of bch-hermit --q 3 and G^3, whose 80 x 80 stack [H; G^3]
+    the sweep ranks."""
     Z = bch_hermit(3, 4).defset_named("Z")
     C = cyclic_code(Z, F9, splitting_field(9, 80))
-    return stack(C.H, frobenius_entrywise(C.G, 3))
+    return C, frobenius_entrywise(C.G, 3)
+
+
+def _bch_hermit_stack():
+    C, G3 = _bch_hermit_pair()
+    return stack(C.H, G3)
 
 
 def _check_kernels(M, B):
@@ -616,6 +623,36 @@ def test_kernels_match_reference_loop_on_zero_columns(F):
 def test_kernels_match_reference_loop_on_the_bch_hermit_stack():
     M = _bch_hermit_stack()
     _check_kernels(M, transpose(M))
+
+
+def test_kept_echelon_gives_the_dimension_identity():
+    # the identity's rk[H1; G2] from the echelon of H1 kept by C1, against the
+    # rank of the whole stack: every ordered pair of two pair sweeps, the pair
+    # (C, C^q0) of every code of a Hermitian sweep, and the GF(9) stack
+    codes = {}
+
+    def code(Z, q):
+        if (Z, q) not in codes:
+            codes[Z, q] = cyclic_code(Z, field_from_order(q), splitting_field(q, Z.n))
+        return codes[Z, q]
+
+    pairs = [(code(p.defset_named("Z1"), q), code(p.defset_named("Z2"), q).G)
+             for q, n, family in ((2, 15, "euclid-pair"), (7, None, "rs-euclid"))
+             for p in instances(family, q, n)]
+    pairs += [(C, frobenius_entrywise(C.G, 2))
+              for C in (code(p.defset_named("Z"), 4) for p in instances("hermitian-lcd", 2, 15))]
+    pairs.append(_bch_hermit_pair())
+    assert len(pairs) == 1024 + 330 + 64 + 1
+    for C1, G2 in pairs:
+        assert C1._H_echelon is not None  # every field here has lane rows
+        assert code_module.stacked_rank(C1, G2) == rank(stack(C1.H, G2))
+    # two pairs against one code in turn leave its kept echelon as it was
+    C1 = code(defset(15, 2, {1, 2, 4, 8}), 2)
+    kept = dict(C1._H_echelon)
+    for Z2 in (defset(15, 2, {0}), defset(15, 2, {3, 6, 9, 12})):
+        G2 = code(Z2, 2).G
+        assert code_module.stacked_rank(C1, G2) == rank(stack(C1.H, G2))
+        assert C1._H_echelon == kept
 
 
 def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):

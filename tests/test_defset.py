@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,17 @@ def test_defset_normalizes():
     assert Z.as_set() == {1}
     assert len(Z) == 1
     assert 1 in Z and 3 not in Z
+
+
+def test_defsets_equal_and_hash_by_modulus_base_and_elements():
+    Z = defset(15, 2, [8, 1, 4, 2])
+    assert Z == defset(15, 2, [2, 4, 1, 8]) and hash(Z) == hash(defset(15, 2, [2, 4, 1, 8]))
+    others = [defset(17, 2, [1, 2, 4, 8]), defset(15, 4, [1, 2, 4, 8])]
+    assert all(Z != other for other in others)
+    assert len({Z, defset(15, 2, [2, 4, 1, 8]), *others}) == 3
+    # a copy with another modulus hashes as that set, not as its source
+    moved = dataclasses.replace(Z, n=17)
+    assert moved == others[0] and hash(moved) == hash(others[0])
 
 
 def test_coset_closure():

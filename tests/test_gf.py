@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quenta import gf as gf_module
 from quenta.gf import (
+    GF,
     Embedding,
     _digits,
     _find_modulus,
@@ -286,6 +287,21 @@ def test_modulus_override_rejects_reducible():
             field_create(2, 3)
     finally:
         set_modulus_overrides({})
+
+
+def test_fields_differing_only_in_modulus_are_unequal():
+    default = field_create(2, 3)
+    set_modulus_overrides({(2, 3): (1, 0, 1, 1)})
+    try:
+        other = field_create(2, 3)
+    finally:
+        set_modulus_overrides({})
+    assert (other.p, other.m) == (default.p, default.m)
+    assert default != other and other != default and len({default, other}) == 2
+    # a field built apart from gf's memos with the same modulus is equal
+    twin = GF(2, 3, default.modulus)
+    assert twin is not default and twin == default and hash(twin) == hash(default)
+    assert default != (2, 3, default.modulus)
 
 
 def _fields_of_order_8():

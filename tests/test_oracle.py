@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 from types import SimpleNamespace
 
 import pytest
@@ -95,14 +96,21 @@ def test_rank_hermitian_matches_kernel_route_hull(q0, n):
 
 
 def test_rank_cross_check_raises_on_mismatch(monkeypatch):
-    ext = splitting_field(4, 3)
-    C = cyclic_code(defset(3, 4, {1}), F4, ext)
-    # drop G2 from the stack: the identity then reads rk(H1) - dim C2 = -1
-    monkeypatch.setattr(oracle, "stack", lambda A, B: A)
-    with pytest.raises(AssertionError, match="dimension identity"):
-        entanglement_rank_hermitian(C, 2)
-    with pytest.raises(AssertionError, match="dimension identity"):
+    # over GF(4), with lane rows, and over GF(81), without
+    codes = [(cyclic_code(defset(n, q, {1}), field_from_order(q), splitting_field(q, n)), q0)
+             for q, q0, n in ((4, 2, 3), (81, 9, 5))]
+    for C, q0 in codes:
+        entanglement_rank_hermitian(C, q0)
         entanglement_rank_euclid(C, C)
+    # drop G2's rows from rk[H1; G2]: the identity then reads rk(H1) - dim C2 < 0
+    stacked_rank = code_module.stacked_rank
+    monkeypatch.setattr(oracle, "stacked_rank",
+                        lambda C1, M: stacked_rank(C1, Matrix(M.field, [], M.ncols)))
+    for C, q0 in codes:
+        with pytest.raises(AssertionError, match="dimension identity"):
+            entanglement_rank_hermitian(C, q0)
+        with pytest.raises(AssertionError, match="dimension identity"):
+            entanglement_rank_euclid(C, C)
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +147,27 @@ def test_relative_weight_zero_map_sees_whole_code():
 # ----------------------------------------------------------------------
 # instance verification
 # ----------------------------------------------------------------------
+
+def _fields_and_defaults(cls):
+    return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_report_types_are_immutable_with_pinned_fields():
+    none = inspect.Parameter.empty
+    assert _fields_and_defaults(oracle.ReportRow) == [
+        ("name", none), ("predicted", none), ("measured", none), ("kind", none),
+        ("passed", none), ("note", "")]
+    assert _fields_and_defaults(oracle.VerificationReport) == [
+        ("family", none), ("case", none), ("inputs", none), ("rows", none),
+        ("passed", none), ("notes", ())]
+    assert oracle.ReportRow("k", 1, 1, "exact", True).note == ""
+    assert oracle.VerificationReport("f", "c", (), (), True).notes == ()
+    report = verify_instance(instances("euclid-pair", 2, 7)[21])
+    for value in (report, *report.rows):
+        for name, _ in _fields_and_defaults(type(value)):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
 
 def test_verify_bch_euclid_golden():
     rep = verify_instance(cons.bch_euclid(3, 1, 1))
