@@ -497,11 +497,14 @@ class LinearCode:
             raise ValueError("rank deficit: k + (n - k) != n")
         if not product(self.G, transpose(self.H)).is_zero():
             raise ValueError("G H^T != 0")
-        # H's echelon over a lane field, kept for stacked_rank
+        # G's pivots, an information set kept for light_basis, and H's echelon
+        # over a lane field, kept for stacked_rank
+        info = _pivot_columns(self.G)
         echelon = _echelon(self.H) if self.H.lanes is not None else None
         h_rank = rank(self.H) if echelon is None else len(echelon)
-        if rank(self.G) != self.G.nrows or h_rank != self.H.nrows:
+        if len(info) != self.G.nrows or h_rank != self.H.nrows:
             raise ValueError("G or H is not full row rank")
+        object.__setattr__(self, "_G_info", info)
         object.__setattr__(self, "_H_echelon", echelon)
 
     @property
@@ -515,7 +518,7 @@ class LinearCode:
         The rows of B of weight at most w span every codeword of weight at
         most w; weights[0] is the minimum distance.  Built once per code by
         one enumeration of its q^k words, which callers bound."""
-        return _light_basis(self.G)
+        return _light_basis(self.G, self._G_info)
 
 
 def stacked_rank(C: LinearCode, M: Matrix) -> int:
@@ -557,77 +560,56 @@ def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
 # exhaustive minimum distance and the light basis
 # ----------------------------------------------------------------------
 
-_BLOCK = 1 << 13  # most words of the low group's span in one numpy block
+_BLOCK = 1 << 13  # most words in one enumeration block
 
 
 def _word_blocks(F: GF, rows):
     """The codewords x·rows of the normalized messages x, encoded (see
-    _ArrayField) as the columns of blocks of about _BLOCK words, so that
-    a weight is a sum over contiguous rows.
+    _ArrayField) as the columns of blocks of at most _BLOCK words, so that a
+    weight is a sum over contiguous rows.
 
     Scaling a word keeps its weight and its span, so only the
     (q^k - 1)/(q - 1) messages whose last nonzero coefficient is 1
-    (normalized) are enumerated.  Meet in the middle: the span of a low group
-    of rows (at most _BLOCK words per block; a single row over a larger field
-    is split into blocks of its multiples) is added to the words of the high
-    group's span, as many at once as fill about _BLOCK words, in one numpy
-    operation.  A span grows by one row at a time in blocks of coefficient 1,
-    0, 2, ..., q - 1, so its normalized messages are a prefix followed by the
-    zero word.  Each normalized high word meets the whole low span, and the
-    zero high word, last, only the low prefix.
+    (normalized) are enumerated: for each row j, row j plus the span of the
+    rows before it.  Meet in the middle: the normalized words of the first
+    k_lo rows, the most whose span fits in _BLOCK words, are one block; then
+    the span of those rows is added to the normalized words of the later
+    rows, as many at once as fill _BLOCK words, in one numpy operation.
     """
     k = len(rows)
     if not k:
         return
     q, ops = F.q, _array_field(F)
-    encode, add = ops.encode, ops.add
-    logs = ops.log[np.array(rows, dtype=np.int64)]
-    k_lo = 1
+    add, elements = ops.add, np.array(rows, dtype=np.int64)
+    encoded = np.ascontiguousarray(ops.encode(elements).T)  # row j is column j
+
+    def span(lo, hi):
+        """The span of rows lo..hi-1: each row's multiples by 0, 1, ..., q - 1,
+        zero first, added to the span so far, so span(lo, j) is its prefix."""
+        scaled = ops.exp[ops.log[:, None, None] + ops.log[elements[lo:hi]]]
+        # each row's multiples C-contiguous, so that numpy stores every block symbol-major
+        multiples = np.ascontiguousarray(ops.encode(scaled).transpose(1, 2, 0))
+        S = np.zeros((len(encoded), 1), encoded.dtype)
+        for row_multiples in multiples:
+            S = add(row_multiples[:, :, None], S[:, None, :]).reshape(len(S), -1)
+        return S
+
+    def normalized(lo, hi, S):
+        """For each j in lo..hi-1, row j plus the span of rows lo..j-1, a prefix of S."""
+        return np.concatenate([add(encoded[:, j, None], S[:, :q ** (j - lo)])
+                               for j in range(lo, hi)], axis=1)
+
+    k_lo = 0
     while k_lo < k and q ** (k_lo + 1) <= _BLOCK:
         k_lo += 1
-
-    def multiples(j, scalars):
-        """Row j times each scalar, as encoded words in columns."""
-        return encode(ops.exp[ops.log[scalars][:, None] + logs[j]]).T
-
-    def span(lo, hi, top):
-        """The span of rows lo..hi-1; the last takes only the coefficients below
-        top.  Built in place: the span of the rows so far sits where the zero
-        coefficient of every later row puts it, and each row adds its blocks of
-        nonzero coefficients around it."""
-        levels = hi - lo
-        scaled = encode(ops.exp[ops.log[np.arange(1, q)][:, None, None] + logs[lo:hi]])
-        table = np.empty((scaled.shape[2], q ** (levels - 1) * top if levels else 1), scaled.dtype)
-        at, size = (q ** levels - 1) // (q - 1), 1  # the zero word's column, the span's size
-        table[:, at] = 0
-        for j in range(levels):
-            c = (q if j < levels - 1 else top) - 1  # row j's nonzero coefficients
-            blocks = add(table[:, None, at:at + size], scaled[:c, j].T[:, :, None])
-            table[:, at - size:at] = blocks[:, 0]  # coefficient 1 goes first
-            table[:, at + size:at + c * size] = blocks[:, 1:].reshape(len(table), -1)
-            at, size = at - size, size * q
-        return table
-
-    if q > _BLOCK:
-        order = np.array([1, 0, *range(2, q)])
-        lows = ((multiples(0, order[s:s + _BLOCK]), int(s == 0)) for s in range(0, q, _BLOCK))
-    else:  # a low group of all k rows needs only its normalized prefix
-        lows = iter([(span(0, k_lo, q if k_lo < k else 2), (q ** k_lo - 1) // (q - 1))])
-    n_high = (q ** (k - k_lo) - 1) // (q - 1)
-    if not n_high:  # the zero high word alone meets the first low prefix
-        low, lead = next(lows)
-        yield low[:, :lead]
-        return
-    # the normalized high words and the zero word lie in the last row's 1 and 0 blocks
-    high = span(k_lo, k, 2)
-    for low, lead in lows:
-        stop = n_high + (lead > 0)
-        step = max(1, _BLOCK // low.shape[1])
-        for i in range(0, stop, step):
-            words = add(low[:, None, :], high[:, i:min(i + step, stop), None]).reshape(len(low), -1)
-            if lead and i + step >= stop:  # the zero high word meets only the low prefix
-                words = words[:, :words.shape[1] - low.shape[1] + lead]
-            yield words
+    low = span(0, min(k_lo, k - 1))  # the last row enters no span
+    if k_lo:
+        yield normalized(0, k_lo, low)
+    if k_lo < k:
+        high = normalized(k_lo, k, span(k_lo, k - 1))
+        step = _BLOCK // low.shape[1]
+        for i in range(0, high.shape[1], step):
+            yield add(low[:, None, :], high[:, i:i + step, None]).reshape(len(low), -1)
 
 
 def _weights(words, width: int):
@@ -654,8 +636,8 @@ def _min_weight(F: GF, rows, n: int) -> int:
     return int(nonzero[0]) + 1 if nonzero.size else n + 1
 
 
-def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """LinearCode.light_basis of the code G generates.
+def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
+    """LinearCode.light_basis of the code G generates; info is G's pivot columns.
 
     Each block's words, after the words kept from the blocks before it, are
     sorted stably by weight, and the pivot columns of the matrix they form,
@@ -666,7 +648,6 @@ def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     information set of G, its own pivot columns, are reduced: on them, words
     are independent exactly when their messages are."""
     F, width = G.field, _array_field(G.field).width
-    info = _pivot_columns(G)
     kept, kept_weights = np.zeros((G.ncols, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
     for words in _word_blocks(F, G.rows):
         if width > 1:  # base-p digits back to elements

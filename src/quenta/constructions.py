@@ -24,7 +24,6 @@ from .defset import (
     is_lcd_euclidean,
     is_lcd_hermitian,
     rs_defset,
-    rs_dual_defset,
 )
 from .gf import prime_power
 
@@ -182,7 +181,7 @@ def rs_euclid(q: int, n: int, k1: int, b1: int, k2: int, b2: int) -> QuentaParam
         raise ValueError(f"n = {n} exceeds field size q = {q}")
     Z1 = rs_defset(n, k1, b1)
     Z2 = rs_defset(n, k2, b2)
-    t = len(rs_dual_defset(n, k1, b1).intersection(Z2))
+    t = len(euclidean_dual_defset(Z1).intersection(Z2))
     warnings = []
     if k1 - b1 >= b2:
         case = "k1-b1>=b2"

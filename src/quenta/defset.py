@@ -188,11 +188,3 @@ def rs_defset(n: int, k: int, b: int) -> DefiningSet:
         raise ValueError(f"offset b = {b} must be nonnegative")
     return defset(n, n + 1, range(b, b + n - k))
 
-
-def rs_dual_defset(n: int, k: int, b: int) -> DefiningSet:
-    """{n-b+1, ..., n-b+k} mod n: the dual's consecutive-root window."""
-    if not 1 <= k <= n:
-        raise ValueError(f"dimension k = {k} outside [1, {n}]")
-    if b < 0:
-        raise ValueError(f"offset b = {b} must be nonnegative")
-    return defset(n, n + 1, range(n - b + 1, n - b + k + 1))

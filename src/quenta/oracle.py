@@ -252,15 +252,16 @@ def _rank_rows(p: QuentaParams, pred_int: int, lcd: bool, C1: LinearCode, k2: in
 
 
 def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
-                   lcd: bool = False, rs: bool = False) -> VerificationReport:
-    """Pair verifier; ``lcd`` adds the hull row, ``rs`` skips n != q - 1 (formula mode)."""
+                   lcd: bool = False) -> VerificationReport:
+    """Pair verifier; ``lcd`` adds the hull row.  A Reed-Solomon window of
+    length n != q - 1, whose coset base n + 1 is not q, is skipped (formula mode)."""
     if lcd:
         Z1 = Z2 = p.defset_named("Z")
     else:
         Z1, Z2 = p.defset_named("Z1"), p.defset_named("Z2")
     n, q = p.n, p.q
     pred_int = intersection_dim(euclidean_dual_defset(Z1), Z2)
-    if rs and n != q - 1:
+    if Z1.q != q:
         return _skip_rank_rows(p, pred_int, lcd,
                                f"formula mode (n = {n} != q - 1): not materialized")
     made, reason = _materialize_base(q, n, matrix_cap)
@@ -447,10 +448,9 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
                                       a.d1, a.d2, a.d1_kind, a.d2_kind)),
     Family("euclid-lcd", ("n", "q", "z", "d"), _euclid_lcd_grid, partial(_verify_euclid, lcd=True),
            lambda a: cons.euclid_lcd(_defset_flag(a.n, a.q, a.z), a.d, a.d_kind)),
-    Family("rs-euclid", ("q", "k1", "b1", "k2", "b2"), _rs_euclid_grid,
-           partial(_verify_euclid, rs=True),
+    Family("rs-euclid", ("q", "k1", "b1", "k2", "b2"), _rs_euclid_grid, _verify_euclid,
            lambda a: cons.rs_euclid(a.q, _rs_length(a.q, a.n), a.k1, a.b1, a.k2, a.b2)),
-    Family("rs-mds", ("q", "k", "b"), _rs_mds_grid, partial(_verify_euclid, rs=True),
+    Family("rs-mds", ("q", "k", "b"), _rs_mds_grid, _verify_euclid,
            lambda a: cons.rs_euclid_mds(a.q, _rs_length(a.q, a.n), a.k, a.b)),
     Family("bch-euclid", ("q", "a", "b"), _bch_euclid_grid, _verify_euclid,
            lambda a: cons.bch_euclid(a.q, a.a, a.b)),

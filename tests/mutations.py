@@ -1,0 +1,122 @@
+"""The register of mutations that the tests must kill, and its runner.
+
+Each entry names a file under src/quenta, a text that occurs in it exactly
+once, the text's replacement, and the tests that must fail once it is made.
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutations.py
+
+The runner copies the repository to a temporary directory, less its git and
+cache directories, and first requires every named test to pass there.  Then,
+for each entry, it copies src/ afresh, makes the replacement and runs the
+entry's tests against the copy, and requires each of them to fail.  An entry
+whose text is missing, or occurs more than once, fails the run: a change that
+rewrites the code rewrites its entries.  It exits 0 only when every entry is
+killed.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+_IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str  # under src/quenta
+    text: str
+    replacement: str
+    tests: tuple[str, ...]  # test ids; a parametrized test fails when any case does
+
+
+MUTATIONS = (
+    Mutation("normalized reads one column past each prefix of the span", "code.py",
+             "S[:, :q ** (j - lo)]", "S[:, :q ** (j - lo) + 1]",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
+              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
+    Mutation("span drops the zero multiple of each row", "code.py",
+             "ops.exp[ops.log[:, None, None]", "ops.exp[ops.log[1:, None, None]",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
+              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
+    Mutation("span keeps each row's multiples as a transposed view", "code.py",
+             "multiples = np.ascontiguousarray(ops.encode(scaled).transpose(1, 2, 0))",
+             "multiples = ops.encode(scaled).transpose(1, 2, 0)",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",)),
+    Mutation("the first block is skipped", "code.py",
+             "        yield normalized(0, k_lo, low)", "        normalized(0, k_lo, low)",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
+              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
+    Mutation("the chunk loop starts at step", "code.py",
+             "range(0, high.shape[1], step)", "range(step, high.shape[1], step)",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
+              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
+    Mutation("_light_basis is given all pivot columns of G but the last", "code.py",
+             "_light_basis(self.G, self._G_info)", "_light_basis(self.G, self._G_info[:-1])",
+             ("tests/test_code.py::test_light_basis_is_a_greedy_basis",)),
+    Mutation("_echelon reduces into kept itself, not a copy", "code.py",
+             "{} if kept is None else dict(kept)", "{} if kept is None else kept",
+             ("tests/test_code.py::test_kept_echelon_gives_the_dimension_identity",)),
+    Mutation("_entanglement_rank's dimension identity check is disabled", "oracle.py",
+             "    if r != identity:", "    if False:",
+             ("tests/test_oracle.py::test_rank_cross_check_raises_on_mismatch",)),
+    Mutation("GF.__eq__ is reduced to identity", "gf.py",
+             "return self is other or isinstance(other, GF) and self.key == other.key",
+             "return self is other",
+             ("tests/test_gf.py::test_fields_differing_only_in_modulus_are_unequal",)),
+    Mutation("_krawtchouk drops the sign (-1)^s", "code.py",
+             "(-1) ** s * (q - 1) ** (j - s)", "(q - 1) ** (j - s)",
+             ("tests/test_code.py::test_dual_route_matches_the_direct_enumeration",)),
+)
+
+
+def failed_tests(tree: Path, tests) -> tuple[int, set[str]]:
+    """(pytest's exit status, the ids of the failed tests) for tests run in tree."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=tree, capture_output=True, text=True)
+    return run.returncode, {line.split()[1] for line in run.stdout.splitlines()
+                            if line.startswith("FAILED ")}
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_IGNORED)
+        named = sorted({test for m in MUTATIONS for test in m.tests})
+        status, failed = failed_tests(tree, named)
+        if status != 0:
+            print(f"the named tests do not pass unmutated (pytest exit {status}): "
+                  f"{sorted(failed)}", file=sys.stderr)
+            return 1
+        for m in MUTATIONS:
+            shutil.rmtree(tree / "src")
+            shutil.copytree(ROOT / "src", tree / "src", ignore=_IGNORED)
+            path = tree / "src" / "quenta" / m.file
+            source = path.read_text()
+            if source.count(m.text) != 1:
+                problems.append(f"{m.name}: its text occurs {source.count(m.text)} times "
+                                f"in src/quenta/{m.file}, not once")
+                continue
+            path.write_text(source.replace(m.text, m.replacement))
+            _, failed = failed_tests(tree, m.tests)
+            survivors = [test for test in m.tests
+                         if not any(f == test or f.startswith(test + "[") for f in failed)]
+            if survivors:
+                problems.append(f"{m.name}: survived {', '.join(survivors)}")
+            else:
+                print(f"killed: {m.name}")
+    for problem in problems:
+        print(f"FAILED: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

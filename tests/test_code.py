@@ -3,8 +3,10 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -259,7 +261,8 @@ def _dot(F, u, v):
 
 # q -> largest k drawn, so the reference loop stays fast (one k = 2 code over
 # GF(3^6) takes it seconds); small block sizes send these codes through the
-# split into low and high groups and the chunked multiples of one row
+# split into low and high groups, and fields above the block size through a
+# low group of no rows
 _DIFF_FIELDS = {F2: 8, F3: 5, F4: 4, F5: 4, F7: 3, F8: 3, F9: 3, F16: 2,
                 field_create(3, 6): 1}
 
@@ -297,6 +300,26 @@ def check_enumerator(C, M, cap, block):
         else:
             assert min_distance_exhaustive(C, cap) == d
             assert relative_min_weight(C, M, cap) == rel
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(code_and_map(), st.sampled_from([code_module._BLOCK, 2, 5, 16]))
+def test_blocks_hold_each_projective_point_once(case, block):
+    # the block words, decoded, and their q - 1 multiples are the nonzero
+    # codewords, each exactly once
+    C = case[0]
+    F, width = C.field, code_module._array_field(C.field).width
+    with mock.patch.object(code_module, "_BLOCK", block):
+        blocks = list(code_module._word_blocks(F, C.G.rows))
+    words = Counter()
+    for words_in_block in blocks:
+        assert 0 < words_in_block.shape[1] <= block
+        # stored symbol-major, so that a weight is a sum of contiguous rows
+        assert words_in_block.flags.c_contiguous
+        digits = words_in_block.reshape(C.n, width, -1).astype(np.int64)
+        for word in (digits * F.p ** np.arange(width)[:, None]).sum(axis=1).T.tolist():
+            words.update(tuple(F.mul(a, e) for e in word) for a in range(1, F.q))
+    assert words == Counter(map(tuple, reference_words(C)))
 
 
 def rs7():
@@ -337,7 +360,7 @@ def test_light_basis_is_a_greedy_basis(case, block):
 
 def check_light_basis(C, block):
     with mock.patch.object(code_module, "_BLOCK", block):
-        B, weights = code_module._light_basis(C.G)
+        B, weights = code_module._light_basis(C.G, C._G_info)
     assert product(B, transpose(C.H)).is_zero()  # rows are codewords
     assert B.nrows == rank(B) == C.k
     assert list(weights) == [sum(1 for e in row if e) for row in B.rows]
@@ -384,8 +407,8 @@ def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, counted, b
     C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
     assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (11, 3)
     assert counted[0] == 2 ** 11 - 1
-    # the RS [13, 2, 12] over GF(27); at block 16 its first row is split into
-    # chunks of its multiples, and only 1 times it meets the zero high word
+    # the RS [13, 2, 12] over GF(27); at block 16 no row fits in the low
+    # group, so its 28 normalized words are high words met by the zero word
     counted[0] = 0
     F27 = field_create(3, 3)
     C = cyclic_code(defset(13, 27, range(1, 12)), F27, F27)

@@ -17,7 +17,6 @@ from quenta.defset import (
     is_lcd_euclidean,
     is_lcd_hermitian,
     rs_defset,
-    rs_dual_defset,
 )
 
 
@@ -172,10 +171,10 @@ def test_rs_defsets():
     # base is stamped n+1 so every subset is coset-closed
     assert rs_defset(6, 3, 1).q == 7
     assert rs_defset(6, 3, 1).is_coset_closed()
-    # dual window: RS_{n-k}(n, n-b+1)
-    assert rs_dual_defset(6, 3, 1).as_set() == {6 % 6, 1, 2}  # {0,1,2} shifted: b'=n-b+1=6
-    assert rs_dual_defset(6, 3, 1).as_set() == {0, 1, 2}
-    assert rs_dual_defset(6, 2, 0).as_set() == {1, 2}
+    # dual window: RS_{n-k}(n, n-b+1); for (6, 3, 1), {0,1,2} shifted: b'=n-b+1=6
+    assert euclidean_dual_defset(rs_defset(6, 3, 1)).as_set() == {6 % 6, 1, 2}
+    assert euclidean_dual_defset(rs_defset(6, 3, 1)).as_set() == {0, 1, 2}
+    assert euclidean_dual_defset(rs_defset(6, 2, 0)).as_set() == {1, 2}
 
 
 def test_rs_defset_ranges():

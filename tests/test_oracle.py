@@ -362,13 +362,39 @@ def test_euclid_pair_sweep_builds_one_light_basis_per_code(monkeypatch):
     # every relative weight of a code is read from its one light basis
     built = []
     real = code_module._light_basis
-    monkeypatch.setattr(code_module, "_light_basis", lambda G: built.append(G) or real(G))
+    monkeypatch.setattr(code_module, "_light_basis",
+                        lambda G, info: built.append(G) or real(G, info))
     oracle._measured_cyclic_code.cache_clear()
     oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)
     subsets = list(coset_closed_subsets(7, 2))
     assert len(reports) == len(subsets) ** 2
     assert 0 < len(built) == len(set(built)) <= len(subsets)
+
+
+def test_euclid_pair_sweep_reduces_each_generator_once(monkeypatch):
+    # the light basis reads the pivot columns kept by the rank check of G
+    codes, reduced = [], []
+    echelon = code_module._echelon
+
+    def building(Z, base, ext):
+        codes.append(cyclic_code(Z, base, ext))
+        return codes[-1]
+
+    def reducing(M, kept=None):
+        if kept is None:  # a full reduction, not one into a kept echelon
+            reduced.append(M)
+        return echelon(M, kept)
+
+    monkeypatch.setattr(oracle, "cyclic_code", building)
+    monkeypatch.setattr(code_module, "_echelon", reducing)
+    oracle._measured_cyclic_code.cache_clear()
+    oracle._relative_weight.cache_clear()
+    reports = sweep("euclid-pair", 2, n=15)
+    assert len(reports) == 1024 and all(r.passed for r in reports)
+    assert len(codes) == 32
+    assert sum("light_basis" in vars(C) for C in codes) == 25
+    assert [sum(M is C.G for M in reduced) for C in codes] == [1] * 32
 
 
 def test_pair_grid_of_256_codes_weighs_each_ordered_pair_once(monkeypatch):
