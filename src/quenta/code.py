@@ -13,15 +13,15 @@ span every codeword of weight at most w.  Everything is exact.
 The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
 GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
 stored as lane rows (see _Lanes) from construction to result: each row is one
-int of b-bit lanes, the first column in the most significant lane.  Rows add
-by XOR in characteristic 2 and digit-lane-wise mod p otherwise; scaling a row
-by a constant, and the Frobenius map, translate its bytes through a 256-byte
-table per constant, built lazily per field.  Rank (forward elimination of the
-lane rows), product (Four Russians tables of the right factor over GF(2);
-otherwise sums of the right factor's rows, one scaled sum per distinct scalar
-of a left row), stack and transpose never form tuple rows, which are derived
-only when read.  Over every other field, at every size, rank and products use
-numpy arrays of int64 field elements.  The kernel basis uses one int64 row
+int, the first column most significant, of one bit per entry over GF(2), for
+Four Russians products, and of one byte per entry, with no padding lane, over
+the other lane fields.  Rows add by XOR in characteristic 2 and digit-lane-wise
+mod p otherwise; scaling a row, and the Frobenius map, translate its bytes
+through a 256-byte table per constant.  Rank (forward elimination), product
+(Four Russians over GF(2); otherwise one scaled sum of the right factor's rows
+per distinct scalar of a left row), stack and transpose never form tuple rows,
+which are derived only when read.  Over every other field rank and products
+use numpy arrays of int64 field elements.  The kernel basis uses one int64 row
 reduction over every field, and returns lane rows where the field has them.
 numpy also carries XOR and digit-wise mod-p addition during enumeration.
 """
@@ -116,9 +116,9 @@ def _made(field: GF, rows, ncols: int) -> Matrix:
     return M
 
 
-# lane values 0..15 as the digits of a binary or hexadecimal int literal
-_TO_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
-_FROM_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+# GF(2) entries 0 and 1 as the digits of a binary int literal
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Tables(dict):
@@ -139,25 +139,24 @@ class _Lanes:
     An element's lane code holds its base-p digits in w-bit digit lanes, digit
     0 lowest (w = 1 for p = 2, 4 for p <= 7, 8 for p <= 127): over GF(2^m) and
     prime fields the code is the element, and 1 has code 1 in every field.
-    b is m·w rounded up to 4 or 8, so that every byte holds whole lanes, and
-    1 for GF(2).  A row of n entries is an int below 2^(n·b), read as
-    ceil(n·b / 8) bytes; a lane above the first column, in the first byte, is
-    padding and stays 0.
+    A row of n entries is an int below 2^(n·b).  Over GF(2) b = 1, so that a
+    byte of a row holds the 8 bits a Four Russians table is indexed by
+    (_product_gf2); its first byte may hold fewer columns.  Over every other
+    lane field b = 8: a row is n bytes, one code each, with no padding lane.
 
     Rows add by XOR in characteristic 2.  Over odd p the digit lanes of
     s = x + y hold at most 2p - 2; with carries[ncols] = (K, H), K = 2^(w-1) - p
     and H = 2^(w-1) in every digit lane, s + K sets H in exactly the lanes that
     reached p and carries out of none, so x + y = s - ((s + K & H) >> w-1)·p.
     The byte translate tables ``times[c]`` (multiply by the element of code
-    c), ``over[c]`` (divide by it) and ``power[e]`` (raise to e) act on codes,
-    send invalid codes and padded lanes to 0, and are built on first use.
+    c), ``over[c]`` (divide by it) and ``power[e]`` (raise to e) send every
+    byte that is not a code to 0, and are built on first use; GF(2) uses none.
     """
 
     def __init__(self, F: GF, w: int):
         p, m, q = F.p, F.m, F.q
         self.field, self.w = F, w
-        self.b = b = 1 if q == 2 else 4 if m * w <= 4 else 8
-        self.mask = (1 << b) - 1
+        self.b = 1 if q == 2 else 8
         self.code = code = [sum(e // p ** i % p << i * w for i in range(m)) for e in range(q)]
         self.element = element = dict(zip(code, range(q)))
         self.encode = bytes(code + [0] * (256 - q))
@@ -165,7 +164,7 @@ class _Lanes:
         self.times = _Tables(lambda c: self.table(lambda v: F.mul(element[c], v)))
         self.over = _Tables(lambda c: self.times[code[F.inv(element[c])]])
         self.power = _Tables(lambda e: self.table(lambda v: F.pow(v, e)))
-        self.minus = self.times[p - 1]  # negation: the code of -1 is p - 1
+        self.minus = self.times[p - 1] if p > 2 else None  # negation: the code of -1 is p - 1
         self.carries = _Tables(self._carries)
 
     def _carries(self, ncols: int) -> tuple[int, int]:
@@ -176,13 +175,13 @@ class _Lanes:
         """Lane rows of rows of lane codes (bytes, one per column)."""
         if self.b == 8:
             return [int.from_bytes(r, "big") for r in rows]
-        return [int(r.translate(_TO_DIGITS) or b"0", 1 << self.b) for r in rows]
+        return [int(r.translate(_TO_DIGITS) or b"0", 2) for r in rows]
 
     def codes(self, lanes, ncols: int) -> list[bytes]:
         """Each lane row's codes, one byte per column; the inverse of from_codes."""
         if self.b == 8:
             return [x.to_bytes(ncols, "big") for x in lanes]
-        fmt = f"0{ncols}{'b' if self.b == 1 else 'x'}"
+        fmt = f"0{ncols}b"
         return [format(x, fmt).encode().translate(_FROM_DIGITS) if ncols else b"" for x in lanes]
 
     def pack(self, rows) -> list[int]:
@@ -199,11 +198,10 @@ class _Lanes:
         return (ncols * self.b + 7) // 8
 
     def table(self, f) -> bytes:
-        """The byte translate table applying f, a map of elements, to the code in
-        each lane of a byte; invalid codes, which no lane holds, go to 0."""
-        b, mask, code, element = self.b, self.mask, self.code, self.element
-        g = [code[f(element[v])] if v in element else 0 for v in range(1 << b)]
-        return bytes(sum(g[v >> s & mask] << s for s in range(0, 8, b)) for v in range(256))
+        """The byte translate table applying f, a map of elements, to the code
+        a byte holds; a byte that is not a code, which no row holds, goes to 0."""
+        code, element = self.code, self.element
+        return bytes(code[f(element[v])] if v in element else 0 for v in range(256))
 
 
 def _translate(x: int, table: bytes, nbytes: int) -> int:
@@ -563,8 +561,8 @@ def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
 _BLOCK = 1 << 13  # most words in one enumeration block
 
 
-def _word_blocks(F: GF, rows):
-    """The codewords x·rows of the normalized messages x, encoded (see
+def _word_blocks(M: Matrix):
+    """The codewords x·M of the normalized messages x, encoded (see
     _ArrayField) as the columns of blocks of at most _BLOCK words, so that a
     weight is a sum over contiguous rows.
 
@@ -576,11 +574,11 @@ def _word_blocks(F: GF, rows):
     the span of those rows is added to the normalized words of the later
     rows, as many at once as fill _BLOCK words, in one numpy operation.
     """
-    k = len(rows)
+    k = M.nrows
     if not k:
         return
-    q, ops = F.q, _array_field(F)
-    add, elements = ops.add, np.array(rows, dtype=np.int64)
+    q, ops = M.field.q, _array_field(M.field)
+    add, elements = ops.add, M.to_numpy()
     encoded = np.ascontiguousarray(ops.encode(elements).T)  # row j is column j
 
     def span(lo, hi):
@@ -620,20 +618,20 @@ def _weights(words, width: int):
     return nonzero.sum(axis=0, dtype=np.min_scalar_type(len(nonzero) + 1))
 
 
-def _weight_distribution(F: GF, rows, n: int) -> np.ndarray:
-    """counts[w]: the number of normalized words x·rows (see _word_blocks) of
+def _weight_distribution(M: Matrix) -> np.ndarray:
+    """counts[w]: the number of normalized words x·M (see _word_blocks) of
     weight w, each standing for its q - 1 multiples."""
-    width = _array_field(F).width
+    n, width = M.ncols, _array_field(M.field).width
     counts = np.zeros(n + 1, dtype=np.int64)
-    for words in _word_blocks(F, rows):
+    for words in _word_blocks(M):
         counts += np.bincount(_weights(words, width), minlength=n + 1)
     return counts
 
 
-def _min_weight(F: GF, rows, n: int) -> int:
-    """Least weight of the words x·rows, x != 0; n + 1 when there are no rows."""
-    nonzero = np.flatnonzero(_weight_distribution(F, rows, n)[1:])  # weights 1..n
-    return int(nonzero[0]) + 1 if nonzero.size else n + 1
+def _min_weight(M: Matrix) -> int:
+    """Least weight of the words x·M, x != 0; n + 1 when M has no rows."""
+    nonzero = np.flatnonzero(_weight_distribution(M)[1:])  # weights 1..n
+    return int(nonzero[0]) + 1 if nonzero.size else M.ncols + 1
 
 
 def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
@@ -649,7 +647,7 @@ def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
     are independent exactly when their messages are."""
     F, width = G.field, _array_field(G.field).width
     kept, kept_weights = np.zeros((G.ncols, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
-    for words in _word_blocks(F, G.rows):
+    for words in _word_blocks(G):
         if width > 1:  # base-p digits back to elements
             digits = words.reshape(G.ncols, width, -1).astype(np.int64)
             elements = (digits * (F.p ** np.arange(width))[:, None]).sum(axis=1)
@@ -669,13 +667,13 @@ def _krawtchouk(j: int, i: int, n: int, q: int) -> int:
                for s in range(j + 1))
 
 
-def _distance_from_dual(F: GF, rows, n: int) -> int:
-    """The minimum distance of the code whose dual the rows span, from the
+def _distance_from_dual(M: Matrix) -> int:
+    """The minimum distance of the code whose dual M's rows span, from the
     dual's weight distribution B by the MacWilliams identity (MacWilliams &
     Sloane, ch. 5): |C^⊥|·A_j = Σ_i B_i·K_j(i).  B_0 = 1, and each normalized
     word of weight i stands for its q - 1 multiples.  The least j >= 1 with
     A_j != 0, in exact integers; n + 1 when there is none."""
-    q, counts = F.q, _weight_distribution(F, rows, n)
+    q, n, counts = M.field.q, M.ncols, _weight_distribution(M)
     B = {0: 1, **{i: (q - 1) * int(c) for i, c in enumerate(counts) if c}}
     for j in range(1, n + 1):
         if sum(b * _krawtchouk(j, i, n, q) for i, b in B.items()):
@@ -701,5 +699,5 @@ def min_distance_exhaustive(C: LinearCode, cap: int = DEFAULT_DISTANCE_CAP) -> i
             f"q^k = {q}^{k} = {total} exceeds enumeration cap {cap}"
         )
     if C.n - k < k:
-        return _distance_from_dual(C.field, C.H.rows, C.n)
-    return _min_weight(C.field, C.G.rows, C.n)
+        return _distance_from_dual(C.H)
+    return _min_weight(C.G)

@@ -46,8 +46,10 @@ def parse_config(text: str) -> Config:
                     raise ValueError(f"{key} = {cap} must be positive")
                 setattr(cfg, key, cap)
             elif key.startswith("modulus."):
-                _, p_s, m_s = key.split(".")
-                p, m = int(p_s), int(m_s)
+                p_m = key.split(".")[1:]
+                if len(p_m) != 2 or not all(map(str.isdecimal, p_m)):
+                    raise ValueError(f"{key!r} is not of the form modulus.<p>.<m>")
+                p, m = map(int, p_m)
                 if not is_prime(p) or not 1 <= m <= MAX_DEGREE:
                     raise ValueError(f"GF({p}^{m}) needs a prime p and m in [1, {MAX_DEGREE}]")
                 coeffs = tuple(int(v) for v in value.split(","))

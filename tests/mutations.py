@@ -73,6 +73,36 @@ MUTATIONS = (
     Mutation("_krawtchouk drops the sign (-1)^s", "code.py",
              "(-1) ** s * (q - 1) ** (j - s)", "(q - 1) ** (j - s)",
              ("tests/test_code.py::test_dual_route_matches_the_direct_enumeration",)),
+    Mutation("_distance_from_dual drops B_0 = 1", "code.py",
+             "B = {0: 1, **{", "B = {**{",
+             ("tests/test_code.py::test_dual_route_matches_the_direct_enumeration",
+              "tests/test_code.py::test_high_rate_codes_are_measured_through_their_duals")),
+    Mutation("_distance_from_dual drops the (q - 1) factor of B_i", "code.py",
+             "(q - 1) * int(c)", "int(c)",
+             ("tests/test_code.py::test_dual_route_matches_the_direct_enumeration",
+              "tests/test_code.py::test_high_rate_codes_are_measured_through_their_duals")),
+    Mutation("a translate table keeps the bytes that are not codes", "code.py",
+             "if v in element else 0 for v in range(256))",
+             "if v in element else v for v in range(256))",
+             ("tests/test_code.py::test_kernels_match_reference_loop",
+              "tests/test_code.py::test_kernels_match_reference_loop_on_zero_columns")),
+    Mutation("from_codes reads byte rows little-endian", "code.py",
+             'return [int.from_bytes(r, "big") for r in rows]',
+             'return [int.from_bytes(r, "little") for r in rows]',
+             ("tests/test_code.py::test_kernels_match_reference_loop",)),
+    Mutation("_array_matrix loses its zero-width guard", "code.py",
+             "    if not n:  # zero-width lane rows are all 0\n"
+             "        return _made(F, [0] * len(elements), 0)\n", "",
+             ("tests/test_code.py::test_kernels_match_reference_loop_on_zero_columns",)),
+    Mutation("li-lcd's branch 2 also takes v = 0", "constructions.py",
+             "    if v < 0:", "    if v <= 0:",
+             ("tests/test_constructions.py::test_lcd_family_odd_m_branches_match_the_search",)),
+    Mutation("field_from_order is left out of _FIELD_MEMOS", "gf.py",
+             "_FIELD_MEMOS = (_build_field, field_from_order, splitting_field)",
+             "_FIELD_MEMOS = (_build_field, splitting_field)",
+             ("tests/test_transcripts.py::test_base_field_memo_does_not_outlive_an_override",
+              "tests/test_gf.py::"
+              "test_modulus_overrides_replace_the_registry_and_rebuild_fields_only_on_change")),
 )
 
 

@@ -567,6 +567,18 @@ def test_config_modulus_of_no_field_is_refused(tmp_path, capsys, key, value, fie
     assert err == f"error: config line 2: {field} needs a prime p and m in [1, {gf.MAX_DEGREE}]\n"
 
 
+@pytest.mark.parametrize("key", ["modulus.2", "modulus.2.2.1", "modulus.x.2"])
+def test_config_malformed_modulus_key_names_its_form(tmp_path, capsys, key):
+    # a key that is not a prime and a degree after "modulus." is refused
+    # with the form it should have
+    cfg = tmp_path / "mod.cfg"
+    cfg.write_text(f"{key} = 1,1,1\n")
+    code, out, err = run(capsys, "--config", str(cfg),
+                         "verify", "--family", "euclid-pair", "--q", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: config line 1: {key!r} is not of the form modulus.<p>.<m>\n"
+
+
 def test_config_modulus_override_is_validated_on_use(tmp_path, capsys):
     cfg = tmp_path / "mod.cfg"
     cfg.write_text("modulus.2.2 = 1,0,1\n")  # x^2 + 1 is reducible over GF(2)

@@ -310,7 +310,7 @@ def test_blocks_hold_each_projective_point_once(case, block):
     C = case[0]
     F, width = C.field, code_module._array_field(C.field).width
     with mock.patch.object(code_module, "_BLOCK", block):
-        blocks = list(code_module._word_blocks(F, C.G.rows))
+        blocks = list(code_module._word_blocks(C.G))
     words = Counter()
     for words_in_block in blocks:
         assert 0 < words_in_block.shape[1] <= block
@@ -377,7 +377,7 @@ def test_heaviest_gf4_enumeration_budget():
     C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
     assert C.k == 11
     t0 = time.perf_counter()
-    assert code_module._min_weight(C.field, C.G.rows, C.n) == 2
+    assert code_module._min_weight(C.G) == 2
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -399,20 +399,20 @@ def counted(monkeypatch):
 def test_enumerator_weighs_one_word_per_projective_point(monkeypatch, counted, block):
     monkeypatch.setattr(code_module, "_BLOCK", block)
     C = cyclic_code(defset(15, 4, {3, 6, 9, 12}), F4, splitting_field(4, 15))
-    assert code_module._min_weight(C.field, C.G.rows, C.n) == 2
+    assert code_module._min_weight(C.G) == 2
     assert counted[0] == (4 ** 11 - 1) // 3 == 1_398_101
     # over GF(2) every nonzero message is normalized: the [15, 11] Hamming code
     # weighs all of them and no zero message
     counted[0] = 0
     C = cyclic_code(defset(15, 2, {1, 2, 4, 8}), F2, splitting_field(2, 15))
-    assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (11, 3)
+    assert (C.k, code_module._min_weight(C.G)) == (11, 3)
     assert counted[0] == 2 ** 11 - 1
     # the RS [13, 2, 12] over GF(27); at block 16 no row fits in the low
     # group, so its 28 normalized words are high words met by the zero word
     counted[0] = 0
     F27 = field_create(3, 3)
     C = cyclic_code(defset(13, 27, range(1, 12)), F27, F27)
-    assert (C.k, code_module._min_weight(C.field, C.G.rows, C.n)) == (2, 12)
+    assert (C.k, code_module._min_weight(C.G)) == (2, 12)
     assert counted[0] == 27 + 1
 
 
@@ -484,7 +484,7 @@ def high_rate_code(draw):
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(high_rate_code())
 def test_dual_route_matches_the_direct_enumeration(C):
-    assert min_distance_exhaustive(C) == code_module._min_weight(C.field, C.G.rows, C.n)
+    assert min_distance_exhaustive(C) == code_module._min_weight(C.G)
 
 
 def test_dual_route_keeps_the_cap_on_q_to_the_k():
@@ -534,11 +534,11 @@ def test_log_tables_multiply_with_zero(F):
         assert [exp[log[a] + log[b]] for b in range(F.q)] == [F.mul(a, b) for b in range(F.q)]
 
 
-# one field per engine shape: lane rows of 1 bit (GF(2)); 4 bits (GF(4),
-# GF(8) with invalid codes 8-15, GF(16), and the odd primes up to 7); 8 bits
-# (GF(32), GF(256), the two-digit odd fields GF(9), GF(25), GF(49), and the
-# primes 11 and 127); and numpy for the fields without a lane form (GF(27),
-# GF(131), GF(2^10), GF(3^6))
+# one field per engine shape: bit rows (GF(2)); byte rows over characteristic
+# 2 (GF(4), GF(8), GF(16), GF(32), GF(256)), over the odd primes up to 7 in a
+# 4-bit digit lane, over the two-digit odd fields GF(9), GF(25), GF(49), and
+# over the primes 11 and 127; and numpy for the fields without a lane form
+# (GF(27), GF(131), GF(2^10), GF(3^6))
 _KERNEL_FIELDS = (F2, F3, F4, F5, F7, F8, F9, field_create(11, 1), F16, field_create(5, 2),
                   field_create(3, 3), field_create(2, 5), field_create(7, 2),
                   field_create(127, 1), field_create(131, 1), field_create(2, 8),
@@ -548,8 +548,11 @@ _KERNEL_FIELDS = (F2, F3, F4, F5, F7, F8, F9, field_create(11, 1), F16, field_cr
 def test_lane_forms_of_the_fields_up_to_256():
     lane_bits = {q: L.b for q in range(2, 257) if prime_power(q)
                  for L in [code_module._lanes(field_from_order(q))] if L}
-    assert lane_bits == {2: 1, 3: 4, 4: 4, 5: 4, 7: 4, 8: 4, 9: 8, 16: 4, 25: 8, 32: 8, 49: 8,
-                         64: 8, 128: 8, 256: 8, **{p: 8 for p in range(11, 128) if is_prime(p)}}
+    # GF(2) keeps bit rows for its Four Russians product; every other lane
+    # field stores one byte per entry
+    lane_fields = {2, 3, 4, 5, 7, 8, 9, 16, 25, 32, 49, 64, 128, 256,
+                   *(p for p in range(11, 128) if is_prime(p))}
+    assert lane_bits == {q: 1 if q == 2 else 8 for q in lane_fields}
     # a lane code is the base-p digits, digit 0 in the lowest digit lane
     assert code_module._lanes(F9).code == [0x00, 0x01, 0x02, 0x10, 0x11, 0x12, 0x20, 0x21, 0x22]
     assert code_module._lanes(field_create(7, 2)).code[7 * 3 + 5] == 0x35
@@ -622,11 +625,12 @@ def _check_kernels(M, B):
     assert stack(M, kernel_basis(M)).rows == M.rows + kernel
     assert transpose(M).rows == (tuple(zip(*M.rows)) if M.rows else ((),) * M.ncols)
     L = code_module._lanes(F)
-    if L:  # every translate table sends the invalid codes, padded lanes among them, to 0
-        invalid = [(v, s) for v in range(256) for s in range(0, 8, L.b)
-                   if v >> s & L.mask not in L.element]
+    if L:  # every translate table sends each byte that is not a code to 0
+        invalid = [v for v in range(256) if v not in L.element]
         for table in itertools.chain(L.times.values(), L.power.values()):
-            assert not any(table[v] >> s & L.mask for v, s in invalid)
+            assert not any(table[v] for v in invalid)
+    if F.q == 2:  # every nonzero GF(2) scalar is 1: no translate table is built
+        assert not (L.times or L.over or L.power) and L.minus is None
 
 
 @pytest.mark.parametrize("F", _KERNEL_FIELDS, ids=repr)
@@ -683,7 +687,7 @@ def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
     codes = [cyclic_code(Z, F2, ext) for Z in closed_subsets(15, 2)]
     M = Matrix(F2, [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 0)], 4)
     expected = [[entanglement_rank_euclid(C1, C2) for C2 in codes] for C1 in codes]
-    # Hermitian ranks over GF(4) and GF(16) run on 4-bit lane rows
+    # Hermitian ranks over GF(4) and GF(16) run on byte lane rows
     hermitian = [(cyclic_code(Z, F, splitting_field(F.q, n)), q0)
                  for F, q0, n in ((F4, 2, 15), (F16, 4, 5))
                  for Z in closed_subsets(n, F.q)]

@@ -290,7 +290,7 @@ def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
     monkeypatch.setattr(oracle, "cyclic_code",
                         lambda Z, base, ext: built.append(Z) or cyclic_code(Z, base, ext))
     monkeypatch.setattr(code_module, "_word_blocks",
-                        lambda F, rows: enumerated.append(rows) or real(F, rows))
+                        lambda M: enumerated.append(M) or real(M))
     oracle._measured_cyclic_code.cache_clear()
     oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)
