@@ -2,13 +2,14 @@
 
 Generator/parity-check pairs built from generator polynomials, exact
 rank/kernel computations and products, Hermitian duals, and one
-meet-in-the-middle enumeration of one codeword per projective point.  It
-gives the exhaustive minimum distance from one weight distribution, of the
-code itself, or when k > n - k of its smaller dual by the MacWilliams identity
-(the cap bounds q^k either way), and each code's light basis: k
-codewords picked greedily in nondecreasing weight, each a lightest word
-outside the span of those before it, so that its rows of weight at most w
-span every codeword of weight at most w.  Everything is exact.
+meet-in-the-middle enumeration of one codeword per projective point, on
+Python ints for every field (see _Words).  It gives the exhaustive minimum
+distance, the least weight of the code itself, or when k > n - k from the
+weight distribution of its smaller dual by the MacWilliams identity (the cap
+bounds q^k either way), and each code's light basis: k codewords picked
+greedily in nondecreasing weight, each a lightest word outside the span of
+those before it, so that its rows of weight at most w span every codeword
+of weight at most w.  Everything is exact.
 
 The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
 GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
@@ -23,7 +24,8 @@ per distinct scalar of a left row), stack and transpose never form tuple rows,
 which are derived only when read.  Over every other field rank and products
 use numpy arrays of int64 field elements.  The kernel basis uses one int64 row
 reduction over every field, and returns lane rows where the field has them.
-numpy also carries XOR and digit-wise mod-p addition during enumeration.
+Each function that uses numpy imports it in its body, and no module imports
+it at the top, so a run whose fields all have lane rows never loads it.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
-
-import numpy as np
+from operator import lshift
+from typing import TYPE_CHECKING
 
 from .defset import DefiningSet
 from .gf import GF
 from .poly import divmod_poly, generator_from_defset, x_pow_n_minus_one
+
+if TYPE_CHECKING:  # imported at run time only by the functions that build arrays
+    import numpy
 
 DEFAULT_DISTANCE_CAP = 1 << 22
 
@@ -101,7 +106,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.lanes if self.lanes is not None else map(any, self._rows))
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self) -> numpy.ndarray:
+        import numpy as np
+
         return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
 
@@ -325,40 +332,26 @@ def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
 
 
 class _ArrayField:
-    """F's arithmetic on int64 arrays of F's own tables: products through the
-    log/antilog lists, differences by XOR (characteristic 2), mod p (prime
-    fields) or Zech logarithms (odd extension fields).  The enumerator's words
-    are ``encode``d as ints that ``add`` XORs (characteristic 2), or as
-    ``width`` = m base-p digits per symbol that ``add`` sums mod p."""
+    """F's arithmetic on int64 arrays of F's own tables, for the fields
+    without lane rows: products through the log/antilog lists, differences by
+    XOR (characteristic 2), mod p (prime fields) or Zech logarithms (odd
+    extension fields)."""
 
     def __init__(self, F: GF):
+        import numpy as np
+
         p, m = F.p, F.m
         self.p, self.m, self.q1 = p, m, F.q - 1
         self.exp = np.array(F._exp, dtype=np.int64)
         self.log = np.array(F._log, dtype=np.int64)
-        if p == 2:
-            dtype = np.min_scalar_type(self.q1)
-            self.encode = lambda a: a.astype(dtype)
-            self.add, self.width = np.bitwise_xor, 1
-            return
-        if m > 1:
+        if p > 2 and m > 1:
             self.half = self.q1 // 2  # alpha^half = -1
             self.zech = np.array(F._zech, dtype=np.int64)
-        dtype = np.min_scalar_type(2 * (p - 1))
-        radix, p_t = p ** np.arange(m), dtype.type(p)
-
-        def encode(a):
-            return (a[..., None] // radix % p).reshape(*a.shape[:-1], a.shape[-1] * m).astype(dtype)
-
-        def add(a, b):
-            total = a + b
-            # unsigned: total - p wraps above total exactly when total < p
-            return np.minimum(total, total - p_t)
-
-        self.encode, self.add, self.width = encode, add, m
 
     def sub_outer(self, a, f, P):
         """a - f ⊗ P for a column f of nonzero scalars and a row P."""
+        import numpy as np
+
         if self.p == 2 or self.m == 1:
             fP = self.exp[self.log[f][:, None] + self.log[P]]
             return a ^ fP if self.p == 2 else (a - fP) % self.p
@@ -372,9 +365,11 @@ class _ArrayField:
 _array_field = lru_cache(maxsize=None)(_ArrayField)  # one per field
 
 
-def _rref(M: Matrix) -> tuple[np.ndarray, list[int]]:
+def _rref(M: Matrix) -> tuple[numpy.ndarray, list[int]]:
     """(RREF, pivot columns) on an int64 array, over every field; each pivot
     updates only the rows it has to clear."""
+    import numpy as np
+
     F, ops = M.field, _array_field(M.field)
     A = M.to_numpy()
     pivots: list[int] = []
@@ -405,6 +400,8 @@ def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
     """One integer matmul mod p: each entry of A becomes the m x m GF(p)-matrix
     of multiplication by it (column v holds the digits of a * x^v, read from
     the log/antilog tables), and each entry of B its m digits."""
+    import numpy as np
+
     F, ops = A.field, _array_field(A.field)
     p, m = F.p, F.m
     radix = p ** np.arange(m)
@@ -425,6 +422,8 @@ def rank(M: Matrix) -> int:
 
 def kernel_basis(M: Matrix) -> Matrix:
     """Rows spanning the right null space {x : M x^T = 0}; (ncols - rank) rows."""
+    import numpy as np
+
     F, n = M.field, M.ncols
     A, pivots = _rref(M)
     pivot_set = set(pivots)
@@ -456,6 +455,8 @@ def stack(A: Matrix, B: Matrix) -> Matrix:
 
 def _array_matrix(F: GF, elements) -> Matrix:
     """The matrix of a 2-d numpy array of F's elements, in F's stored form."""
+    import numpy as np
+
     L = _lanes(F)
     if L is None:
         return _made(F, elements.tolist(), elements.shape[1])
@@ -561,10 +562,157 @@ def hermitian_dual_code(C: LinearCode, q0: int) -> LinearCode:
 _BLOCK = 1 << 13  # most words in one enumeration block
 
 
+def _repunit(width: int, count: int) -> int:
+    """1 in the lowest bit of each of count fields of width bits."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+class _Words:
+    """The enumerator's form of the words of length n over F, and how it
+    weighs them, broadword (Knuth, TAOCP 7.1.3).
+
+    A word is one int of n symbols, the first column most significant.  A
+    symbol holds its element's base-p digits in w-bit digit lanes, digit 0
+    lowest (w = 1 for p = 2, else the least w with 2^(w-1) >= p), so it is
+    s = m·w bits wide; over GF(2^m) and prime fields a symbol is the element
+    itself.  A block of N words is one int, word i in bits [i·W, (i+1)·W),
+    where W is n·s rounded up to a multiple of 8c bits, c bytes being a
+    weight's count lane.  Words add by XOR in characteristic 2, and otherwise
+    by _Lanes' carry add: with K = 2^(w-1) - p and H = 2^(w-1) in every digit
+    lane, x + y = t - ((t + K & H) >> w-1)·p for t = x + y.
+
+    ``weights`` weighs a whole block with a few operations on it:
+    - fold each symbol to one bit, set when the symbol is nonzero.  When s
+      is a power of two, OR-ing in the block shifted by 1, 2, 4, ... below
+      s gathers a symbol's bits in its bit 0.  Otherwise that would reach
+      the next symbol's bit 0, and ((x & low) + low | x) & top sets bit
+      s - 1 instead, where low holds the s - 1 low bits of every symbol and
+      top its bit s - 1; no carry leaves a symbol;
+    - sum the bits in fields, each added to its neighbour under a mask,
+      doubling the fields up to count lanes; a power-of-two symbol is a
+      field of its own;
+    - multiply by ``gather``, 1 in each count lane of a word, which puts the
+      sum of a word's lanes, its weight, in its top lane.  No lane carries:
+      a lane's sum covers W consecutive bits, which hold each of a word's n
+      symbol positions once, so it is at most n, and c is the least of 1, 2,
+      4 with n < 2^(8c).
+    Block-wide masks are built once per block size N.
+    """
+
+    def __init__(self, F: GF, n: int):
+        p, m = F.p, F.m
+        w = 1 if p == 2 else p.bit_length() + 1
+        s = m * w
+        c = 1
+        while n >= 1 << 8 * c:
+            c *= 2
+        W = -(-n * s // (8 * c)) * 8 * c
+        self.field, self.p, self.m, self.w, self.s, self.c, self.W = F, p, m, w, s, c, W
+        self.nbytes = W // 8
+        self.shifts = [(n - 1 - t) * s for t in range(n)]  # the lowest bit of column t
+        # an element's code, where it is not the element itself
+        self.codes = codes = None if p == 2 or m == 1 else [
+            sum(e // p ** i % p << i * w for i in range(m)) for e in range(F.q)]
+        self.element = None if codes is None else dict(zip(codes, range(F.q)))
+        # x^m as a symbol over GF(2^m): the modulus less its leading term
+        self.reduction = sum(c << i for i, c in enumerate(F.modulus[:m]))
+        symbols, lanes = _repunit(s, n), _repunit(w, n * m)
+        self.top = symbols << s - 1
+        # at each field width f = 1, 2, 4, ..., 4c: the low f bits of every 2f
+        fields = [((1 << f) - 1) * _repunit(2 * f, W // (2 * f))
+                  for f in (1 << i for i in range(2 + c.bit_length()))]
+        carries = [((1 << w - 1) - p) * lanes, lanes << w - 1] if p > 2 else [0, 0]
+        self._patterns = [1, symbols, ((1 << s - 1) - 1) * symbols, self.top, *carries, *fields]
+        self.gather = _repunit(8 * c, W // (8 * c))
+        self._masks: dict[int, list[int]] = {}
+
+    def masks(self, N: int) -> list[int]:
+        """Over N words: 1 in each word's bit 0, then the symbols' bits 0, low,
+        top, K, H and the field masks."""
+        masks = self._masks.get(N)
+        if masks is None:
+            r = _repunit(self.W, N)
+            masks = self._masks[N] = [x * r for x in self._patterns]
+        return masks
+
+    def add(self, x: int, y: int, N: int) -> int:
+        """x + y, for blocks of N words."""
+        if self.p == 2:
+            return x ^ y
+        K, H = self.masks(N)[4:6]
+        t = x + y
+        return t - ((t + K & H) >> self.w - 1) * self.p
+
+    def pack(self, row) -> int:
+        """The word of a row of elements."""
+        codes = row if self.codes is None else map(self.codes.__getitem__, row)
+        return sum(map(lshift, codes, self.shifts))
+
+    def digit_rows(self, x: int) -> list[int]:
+        """x^i times word x, i < m: the multiple of x by an element of digits
+        d_i is the sum of d_i times each.  Over GF(2^m) each is the one before
+        it times x: every symbol shifted up a bit, and where its top bit falls
+        off, x^m added."""
+        rows = [x]
+        if self.p == 2:
+            for _ in range(self.m - 1):
+                t = x & self.top
+                x = (x ^ t) << 1 ^ (t >> self.m - 1) * self.reduction
+                rows.append(x)
+        elif self.m > 1:
+            exp, log = self.field._exp, self.field._log
+            logs = [log[e] for e in self.symbols(x, range(len(self.shifts)))]
+            rows += [self.pack([exp[lg + i] for lg in logs]) for i in range(1, self.m)]
+        return rows
+
+    def multiples(self, x: int) -> list[int]:
+        """a·x for every element a, in element order: the span of x's digit rows."""
+        mult = [0]
+        for d in self.digit_rows(x):
+            layer = mult
+            for _ in range(self.p - 1):
+                layer = [self.add(y, d, 1) for y in layer]
+                mult = mult + layer
+        return mult
+
+    def symbols(self, x: int, cols) -> list[int]:
+        """The elements of word x in columns cols."""
+        mask, shifts = (1 << self.s) - 1, self.shifts
+        codes = [x >> shifts[t] & mask for t in cols]
+        return codes if self.element is None else [self.element[v] for v in codes]
+
+    def weights(self, X: int, N: int):
+        """The weight of each of the N words of block X, in order: bytes, or a
+        list of ints when a weight needs more than one byte."""
+        _, ones, low, top, _, _, *fields = self.masks(N)
+        s, lane, nb = self.s, 8 * self.c, self.nbytes
+        if s & s - 1:
+            X = ((X & low) + low | X) & top
+            f = 1
+        else:
+            shift = 1
+            while shift < s:
+                X |= X >> shift
+                shift *= 2
+            X &= ones
+            f = min(s, lane)
+        while f < lane:
+            mask = fields[f.bit_length() - 1]
+            X = (X & mask) + (X >> f & mask)
+            f *= 2
+        data = (X * self.gather).to_bytes((N + 1) * nb, "little")
+        if self.c == 1:
+            return data[nb - 1:N * nb:nb]
+        c = self.c
+        return [int.from_bytes(data[i:i + c], "little") for i in range(nb - c, N * nb, nb)]
+
+
+_words = lru_cache(maxsize=None)(_Words)  # one per field and length
+
+
 def _word_blocks(M: Matrix):
-    """The codewords x·M of the normalized messages x, encoded (see
-    _ArrayField) as the columns of blocks of at most _BLOCK words, so that a
-    weight is a sum over contiguous rows.
+    """The codewords x·M of the normalized messages x, as blocks (X, N) of
+    N <= _BLOCK words (see _Words), in message order.
 
     Scaling a word keeps its weight and its span, so only the
     (q^k - 1)/(q - 1) messages whose last nonzero coefficient is 1
@@ -572,93 +720,127 @@ def _word_blocks(M: Matrix):
     rows before it.  Meet in the middle: the normalized words of the first
     k_lo rows, the most whose span fits in _BLOCK words, are one block; then
     the span of those rows is added to the normalized words of the later
-    rows, as many at once as fill _BLOCK words, in one numpy operation.
+    rows, each repeated once per word of the span, as many at once as fill
+    _BLOCK words.  A row's multiple by an element is the sum of its digit
+    rows (x^i times it) times the element's base-p digits, so spans grow p
+    multiples at a time.
     """
     k = M.nrows
     if not k:
         return
-    q, ops = M.field.q, _array_field(M.field)
-    add, elements = ops.add, M.to_numpy()
-    encoded = np.ascontiguousarray(ops.encode(elements).T)  # row j is column j
+    F, q = M.field, M.field.q
+    L = _words(F, M.ncols)
+    W, p, add = L.W, L.p, L.add
+    digits = [L.digit_rows(L.pack(row)) for row in M.rows]
 
     def span(lo, hi):
-        """The span of rows lo..hi-1: each row's multiples by 0, 1, ..., q - 1,
-        zero first, added to the span so far, so span(lo, j) is its prefix."""
-        scaled = ops.exp[ops.log[:, None, None] + ops.log[elements[lo:hi]]]
-        # each row's multiples C-contiguous, so that numpy stores every block symbol-major
-        multiples = np.ascontiguousarray(ops.encode(scaled).transpose(1, 2, 0))
-        S = np.zeros((len(encoded), 1), encoded.dtype)
-        for row_multiples in multiples:
-            S = add(row_multiples[:, :, None], S[:, None, :]).reshape(len(S), -1)
+        """The span of rows lo..hi-1, by message: each digit row's multiples
+        by 0, 1, ..., p - 1, zero first, added to the span so far, so
+        span(lo, j) is its prefix."""
+        S, size = 0, 1
+        for b in chain.from_iterable(digits[lo:hi]):
+            b *= L.masks(size)[0]
+            x = S
+            for d in range(1, p):
+                x = add(x, b, size)
+                S |= x << d * size * W
+            size *= p
         return S
 
     def normalized(lo, hi, S):
         """For each j in lo..hi-1, row j plus the span of rows lo..j-1, a prefix of S."""
-        return np.concatenate([add(encoded[:, j, None], S[:, :q ** (j - lo)])
-                               for j in range(lo, hi)], axis=1)
+        X = shift = 0
+        for j in range(lo, hi):
+            size = q ** (j - lo)
+            X |= add(S & (1 << size * W) - 1, digits[j][0] * L.masks(size)[0], size) << shift
+            shift += size * W
+        return X
 
     k_lo = 0
     while k_lo < k and q ** (k_lo + 1) <= _BLOCK:
         k_lo += 1
     low = span(0, min(k_lo, k - 1))  # the last row enters no span
     if k_lo:
-        yield normalized(0, k_lo, low)
+        yield normalized(0, k_lo, low), (q ** k_lo - 1) // (q - 1)
     if k_lo < k:
-        high = normalized(k_lo, k, span(k_lo, k - 1))
-        step = _BLOCK // low.shape[1]
-        for i in range(0, high.shape[1], step):
-            yield add(low[:, None, :], high[:, i:i + step, None]).reshape(len(low), -1)
+        size, nb = q ** k_lo, L.nbytes
+        H = (q ** (k - k_lo) - 1) // (q - 1)
+        high = normalized(k_lo, k, span(k_lo, k - 1)).to_bytes(H * nb, "little")
+        step = _BLOCK // size
+        if H > 1:  # low side by side as often as a block holds it
+            low = int.from_bytes(low.to_bytes(size * nb, "little") * min(step, H), "little")
+        for i in range(0, H, step):
+            words = high[i * nb:(i + step) * nb]
+            N = len(words) // nb * size
+            highs = b"".join(words[j:j + nb] * size for j in range(0, len(words), nb))
+            yield add(low & (1 << N * W) - 1, int.from_bytes(highs, "little"), N), N
 
 
-def _weights(words, width: int):
-    """The weight of each word (column)."""
-    nonzero = words != 0
-    if width > 1:
-        nonzero = nonzero.reshape(-1, width, nonzero.shape[1]).any(axis=1)
-    return nonzero.sum(axis=0, dtype=np.min_scalar_type(len(nonzero) + 1))
-
-
-def _weight_distribution(M: Matrix) -> np.ndarray:
+def _weight_distribution(M: Matrix) -> list[int]:
     """counts[w]: the number of normalized words x·M (see _word_blocks) of
     weight w, each standing for its q - 1 multiples."""
-    n, width = M.ncols, _array_field(M.field).width
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for words in _word_blocks(M):
-        counts += np.bincount(_weights(words, width), minlength=n + 1)
+    L, n = _words(M.field, M.ncols), M.ncols
+    counts = [0] * (n + 1)
+    for X, N in _word_blocks(M):
+        weights = L.weights(X, N)
+        for w in range(1, n + 1):
+            if w in weights:
+                counts[w] += weights.count(w)
     return counts
 
 
 def _min_weight(M: Matrix) -> int:
     """Least weight of the words x·M, x != 0; n + 1 when M has no rows."""
-    nonzero = np.flatnonzero(_weight_distribution(M)[1:])  # weights 1..n
-    return int(nonzero[0]) + 1 if nonzero.size else M.ncols + 1
+    L, least = _words(M.field, M.ncols), M.ncols + 1
+    for X, N in _word_blocks(M):
+        weights = L.weights(X, N)
+        least = next((w for w in range(1, least) if w in weights), least)
+    return least
 
 
 def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
     """LinearCode.light_basis of the code G generates; info is G's pivot columns.
 
-    Each block's words, after the words kept from the blocks before it, are
-    sorted stably by weight, and the pivot columns of the matrix they form,
-    each a word outside the span of the words before it, are kept.  A word
-    not kept lies in the span of kept words no heavier than it, so the words
-    kept after the last block are a greedy basis of all the words (Edmonds,
-    "Matroids and the greedy algorithm", 1971).  Only the symbols of an
-    information set of G, its own pivot columns, are reduced: on them, words
-    are independent exactly when their messages are."""
-    F, width = G.field, _array_field(G.field).width
-    kept, kept_weights = np.zeros((G.ncols, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8)
-    for words in _word_blocks(G):
-        if width > 1:  # base-p digits back to elements
-            digits = words.reshape(G.ncols, width, -1).astype(np.int64)
-            elements = (digits * (F.p ** np.arange(width))[:, None]).sum(axis=1)
-        else:
-            elements = words
-        elements = np.concatenate([kept, elements], axis=1)
-        weights = np.concatenate([kept_weights, _weights(words, width)])
-        order = np.argsort(weights, kind="stable")
-        picks = order[_pivot_columns(_array_matrix(F, np.take(elements[info], order, axis=1)))]
-        kept, kept_weights = elements[:, picks], weights[picks]
-    return _array_matrix(F, kept.T), tuple(map(int, kept_weights))
+    Every word is weighed, a block at a time.  Then words are taken lightest
+    first, in message order within a weight, and each is reduced into an
+    echelon of the words kept before it, on the symbols of info, an
+    information set of G, where words are independent exactly when their
+    messages are.  The echelon holds, for each kept word's leading symbol
+    on info, the multiple of it that cancels each leading coefficient, so a
+    step is one add.  A word that does not reduce to zero on info is kept,
+    until k are kept.  A word not kept lies in the span of kept words no
+    heavier than it, so the words kept are a greedy basis of all the words
+    (Edmonds, "Matroids and the greedy algorithm", 1971)."""
+    F, n, k = G.field, G.ncols, G.nrows
+    L = _words(F, n)
+    nb, s, add = L.nbytes, L.s, L.add
+    on_info = sum(((1 << s) - 1) << L.shifts[t] for t in info)
+    blocks = [(X.to_bytes(N * nb, "little"), L.weights(X, N)) for X, N in _word_blocks(G)]
+
+    def lightest_first():
+        for w in range(1, n + 1):
+            for words, weights in blocks:
+                i = -1
+                for _ in range(weights.count(w)):
+                    i = weights.index(w, i + 1)
+                    yield w, int.from_bytes(words[i * nb:(i + 1) * nb], "little")
+
+    kept, kept_weights = [], []
+    cancel: dict[int, dict[int, int]] = {}  # leading symbol -> leading code -> word to add
+    for w, x in lightest_first():
+        if len(kept) == k:
+            break
+        y = x
+        while v := y & on_info:
+            t = (v.bit_length() - 1) // s
+            if t not in cancel:
+                mult = L.multiples(y)
+                cancel[t] = {(mult[a] & on_info) >> t * s: mult[F.neg(a)] for a in range(1, F.q)}
+                kept.append(x)
+                kept_weights.append(w)
+                break
+            y = add(y, cancel[t][v >> t * s], 1)
+    return Matrix(F, [L.symbols(x, range(n)) for x in kept], n), tuple(kept_weights)
 
 
 def _krawtchouk(j: int, i: int, n: int, q: int) -> int:

@@ -29,6 +29,14 @@ class Config:
     moduli: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
 
+def _integer(text: str, refusal: str) -> int:
+    """int(text), or a ValueError that says which value and what form it needs."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(refusal) from None
+
+
 def parse_config(text: str) -> Config:
     cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -41,7 +49,7 @@ def parse_config(text: str) -> Config:
         key, value = key.strip(), value.strip()
         try:
             if key in ("matrix_cap", "distance_cap"):
-                cap = int(value)
+                cap = _integer(value, f"{key} = {value!r} is not a positive integer")
                 if cap < 1:
                     raise ValueError(f"{key} = {cap} must be positive")
                 setattr(cfg, key, cap)
@@ -52,7 +60,8 @@ def parse_config(text: str) -> Config:
                 p, m = map(int, p_m)
                 if not is_prime(p) or not 1 <= m <= MAX_DEGREE:
                     raise ValueError(f"GF({p}^{m}) needs a prime p and m in [1, {MAX_DEGREE}]")
-                coeffs = tuple(int(v) for v in value.split(","))
+                form = f"{key} = {value!r} is not {m + 1} comma-separated integer coefficients"
+                coeffs = tuple(_integer(v, form) for v in value.split(","))
                 if len(coeffs) != m + 1:
                     raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")
                 cfg.moduli[(p, m)] = coeffs

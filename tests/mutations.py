@@ -37,29 +37,39 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = (
-    Mutation("normalized reads one column past each prefix of the span", "code.py",
-             "S[:, :q ** (j - lo)]", "S[:, :q ** (j - lo) + 1]",
+    Mutation("normalized reads one word past each prefix of the span", "code.py",
+             "S & (1 << size * W) - 1", "S & (1 << (size + 1) * W) - 1",
              ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
-              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
-    Mutation("span drops the zero multiple of each row", "code.py",
-             "ops.exp[ops.log[:, None, None]", "ops.exp[ops.log[1:, None, None]",
+              "tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field")),
+    Mutation("span drops the zero multiple of each digit row", "code.py",
+             "            x = S\n", "            x = S = add(S, b, size)\n",
              ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
-              "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
-    Mutation("span keeps each row's multiples as a transposed view", "code.py",
-             "multiples = np.ascontiguousarray(ops.encode(scaled).transpose(1, 2, 0))",
-             "multiples = ops.encode(scaled).transpose(1, 2, 0)",
-             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",)),
+              "tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field")),
+    Mutation("a chunk repeats its high words as a whole, transposing the low and high words",
+             "code.py",
+             'b"".join(words[j:j + nb] * size for j in range(0, len(words), nb))', "words * size",
+             ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
+              "tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field")),
     Mutation("the first block is skipped", "code.py",
-             "        yield normalized(0, k_lo, low)", "        normalized(0, k_lo, low)",
+             "        yield normalized(0, k_lo, low), ", "        normalized(0, k_lo, low), ",
              ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
               "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
     Mutation("the chunk loop starts at step", "code.py",
-             "range(0, high.shape[1], step)", "range(step, high.shape[1], step)",
+             "range(0, H, step)", "range(step, H, step)",
              ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
               "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
     Mutation("_light_basis is given all pivot columns of G but the last", "code.py",
              "_light_basis(self.G, self._G_info)", "_light_basis(self.G, self._G_info[:-1])",
              ("tests/test_code.py::test_light_basis_is_a_greedy_basis",)),
+    Mutation("a 3-bit symbol is folded by doubling shifts, into the next symbol's bit 0",
+             "code.py", "        if s & s - 1:\n", "        if False:\n",
+             ("tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field",)),
+    Mutation("the odd-p carry add drops its correction", "code.py",
+             "return t - ((t + K & H) >> self.w - 1) * self.p", "return t",
+             ("tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field",)),
+    Mutation("code.py imports numpy at the top again", "code.py",
+             "from operator import lshift\n", "from operator import lshift\n\nimport numpy as np\n",
+             ("tests/test_cli.py::test_lane_field_runs_never_import_numpy",)),
     Mutation("_echelon reduces into kept itself, not a copy", "code.py",
              "{} if kept is None else dict(kept)", "{} if kept is None else kept",
              ("tests/test_code.py::test_kept_echelon_gives_the_dimension_identity",)),

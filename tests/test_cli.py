@@ -461,12 +461,59 @@ def test_verify_bch_euclid_summary(capsys):
     assert lines[-1] == "6 passed, 0 failed, 0 skipped"
 
 
-def test_a_closed_pipe_exits_141_without_an_error():
-    # the sweep prints about 190 KB, more than a pipe holds: once its reader has
-    # read one line and closed the pipe, a later write or the last flush fails
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports quenta from this tree."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     env.pop("QUENTA_CONFIG", None)
+    return env
+
+
+# imports every quenta module, runs main on each argv given, and prints the
+# exit codes and whether numpy was imported; main's own output is dropped
+_IMPORTS_NUMPY = """
+import contextlib, importlib, io, json, pkgutil, sys
+import quenta
+for info in pkgutil.iter_modules(quenta.__path__):
+    importlib.import_module("quenta." + info.name)
+from quenta.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_lane_field_runs_never_import_numpy():
+    # every field of these runs has lane rows, so nothing imports numpy: not
+    # the package's modules, and not a sweep, a table or the cosets
+    argvs = [["verify", "--family", "euclid-pair", "--q", "2", "--n", "7"],
+             ["table", "--family", "hermitian", "--q", "2", "--n", "15"],
+             ["cosets", "--q", "2", "--n", "15"]]
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_NUMPY, json.dumps(argvs)],
+                         capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert (run.stdout, run.stderr) == ("[0, 0, 0] False\n", "")
+
+
+def test_a_field_without_lane_rows_imports_numpy_and_prints_the_same_bytes():
+    # GF(27) ranks through numpy; the enumerator's d and relative weights of
+    # this construction print the bytes they printed under the numpy enumerator
+    argv = ["construct", "rs-mds", "--q", "27", "--n", "26", "--k", "2", "--b", "1", "--verify"]
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_NUMPY, json.dumps([argv])],
+                         capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert (run.stdout, run.stderr) == ("[0] True\n", "")
+    run = subprocess.run([sys.executable, "-m", "quenta.cli", *argv],
+                         capture_output=True, env=_fresh_env(), timeout=120)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "3960434da23e43847c68a87b3859b88dd9d07bed38d4b3738195ea1b34015e32")
+    assert json.loads(run.stdout)["verification"]["notes"] == [
+        "relative distances outside the dual intersections: 25, 25 (combined 25; claimed d = 25)"]
+
+
+def test_a_closed_pipe_exits_141_without_an_error():
+    # the sweep prints about 190 KB, more than a pipe holds: once its reader has
+    # read one line and closed the pipe, a later write or the last flush fails
+    env = _fresh_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "quenta.cli", "verify", "--family", "rs-euclid", "--q", "11"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -577,6 +624,23 @@ def test_config_malformed_modulus_key_names_its_form(tmp_path, capsys, key):
                          "verify", "--family", "euclid-pair", "--q", "2", "--n", "3")
     assert (code, out) == (1, "")
     assert err == f"error: config line 1: {key!r} is not of the form modulus.<p>.<m>\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("matrix_cap = ten", "matrix_cap = 'ten' is not a positive integer"),
+    ("distance_cap = 1e6", "distance_cap = '1e6' is not a positive integer"),
+    ("modulus.2.2 = 1,x,1", "modulus.2.2 = '1,x,1' is not 3 comma-separated integer coefficients"),
+    ("modulus.2.2 = 1,,1", "modulus.2.2 = '1,,1' is not 3 comma-separated integer coefficients"),
+])
+def test_config_malformed_value_names_its_key_and_form(tmp_path, capsys, line, message):
+    # a value that is no integer is refused by its key and the form the key
+    # needs, not by Python's own message for int()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "--config", str(cfg),
+                         "verify", "--family", "rs-euclid", "--q", "4")
+    assert (code, out) == (1, "")
+    assert err == f"error: config line 1: {message}\n"
 
 
 def test_config_modulus_override_is_validated_on_use(tmp_path, capsys):

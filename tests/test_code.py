@@ -6,7 +6,6 @@ import time
 from collections import Counter
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -302,24 +301,96 @@ def check_enumerator(C, M, cap, block):
             assert relative_min_weight(C, M, cap) == rel
 
 
+def reference_normalized_words(C):
+    """The normalized codewords in message order, by a message-by-message
+    loop: for each row j, row j plus each word of the span of the rows before
+    it, the first row's coefficient counting fastest."""
+    F, rows = C.field, C.G.rows
+    for j, row in enumerate(rows):
+        for index in range(F.q ** j):
+            word = list(row)
+            for i in range(j):
+                c = index // F.q ** i % F.q
+                word = [F.add(x, F.mul(c, y)) for x, y in zip(word, rows[i])]
+            yield tuple(word)
+
+
+def block_words(C, blocks):
+    """The words of enumerator blocks, decoded; each block holds its N words
+    and nothing past them, and no word sets a bit past its n symbols."""
+    L = code_module._words(C.field, C.n)
+    words = []
+    for X, N in blocks:
+        assert X < 1 << N * L.W
+        for i in range(N):
+            x = X >> i * L.W & (1 << L.W) - 1
+            assert x < 1 << C.n * L.s
+            words.append(tuple(L.symbols(x, range(C.n))))
+    return words
+
+
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(code_and_map(), st.sampled_from([code_module._BLOCK, 2, 5, 16]))
 def test_blocks_hold_each_projective_point_once(case, block):
-    # the block words, decoded, and their q - 1 multiples are the nonzero
-    # codewords, each exactly once
+    # the block words, decoded, are the normalized words in message order, and
+    # with their q - 1 multiples they are the nonzero codewords, each exactly once
     C = case[0]
-    F, width = C.field, code_module._array_field(C.field).width
+    F = C.field
     with mock.patch.object(code_module, "_BLOCK", block):
         blocks = list(code_module._word_blocks(C.G))
-    words = Counter()
-    for words_in_block in blocks:
-        assert 0 < words_in_block.shape[1] <= block
-        # stored symbol-major, so that a weight is a sum of contiguous rows
-        assert words_in_block.flags.c_contiguous
-        digits = words_in_block.reshape(C.n, width, -1).astype(np.int64)
-        for word in (digits * F.p ** np.arange(width)[:, None]).sum(axis=1).T.tolist():
-            words.update(tuple(F.mul(a, e) for e in word) for a in range(1, F.q))
-    assert words == Counter(map(tuple, reference_words(C)))
+    assert all(0 < N <= block for _, N in blocks)
+    words = block_words(C, blocks)
+    assert words == list(reference_normalized_words(C))
+    multiples = Counter(tuple(F.mul(a, e) for e in word) for word in words for a in range(1, F.q))
+    assert multiples == Counter(map(tuple, reference_words(C)))
+
+
+def reference_distribution(C):
+    """counts[w] of the normalized words, by the reference loop."""
+    counts = [0] * (C.n + 1)
+    for word in reference_normalized_words(C):
+        counts[sum(1 for e in word if e)] += 1
+    return counts
+
+
+# one field per symbol form: 1-bit symbols (GF(2)); GF(8) and GF(32), whose odd
+# symbol widths 3 and 5 a doubling fold would leak across; odd digit lanes in
+# one symbol (GF(3)), two (GF(9)) and a full byte (GF(127)); and GF(27), a
+# field without lane rows, to a largest k each that keeps the reference fast
+_SYMBOL_FIELDS = {F2: 8, F8: 3, field_create(2, 5): 2, F3: 5, F9: 3, field_create(127, 1): 2,
+                  field_create(3, 3): 2}
+
+
+@pytest.mark.parametrize("F", _SYMBOL_FIELDS, ids=repr)
+def test_int_enumerator_matches_reference_loop_per_field(F):
+    rng = random.Random(F.q)
+    for _ in range(6):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, min(n, _SYMBOL_FIELDS[F]))
+        C = code_from_rows(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)], n)
+        words, counts = list(reference_normalized_words(C)), reference_distribution(C)
+        d = next((w for w in range(1, n + 1) if counts[w]), n + 1)
+        for block in (code_module._BLOCK, 2, 5, 16):
+            with mock.patch.object(code_module, "_BLOCK", block):
+                assert block_words(C, code_module._word_blocks(C.G)) == words
+                assert code_module._weight_distribution(C.G) == counts
+                assert code_module._min_weight(C.G) == d
+                assert min_distance_exhaustive(C) == d
+                check_light_basis(C, block)
+
+
+@pytest.mark.parametrize("F, n, lane", [(F2, 255, 1), (F2, 256, 2), (F4, 260, 2), (F7, 600, 2)],
+                         ids=["GF(2)-255", "GF(2)-256", "GF(4)", "GF(7)"])
+def test_long_words_weigh_in_wider_count_lanes(F, n, lane):
+    # a weight up to 255 fits a one-byte count lane; from n = 256 on it takes two
+    # bytes.  The all-ones word reaches weight n, and a weight-1 word is the least
+    rng = random.Random(n)
+    rows = [[rng.randrange(F.q) if rng.random() < 0.9 else 0 for _ in range(n)] for _ in range(2)]
+    rows += [[1] * n, [0] * (n - 1) + [1]]
+    C = code_from_rows(F, rows, n)
+    assert code_module._words(F, n).c == lane
+    assert code_module._weight_distribution(C.G) == reference_distribution(C)
+    assert code_module._light_basis(C.G, C._G_info)[1] == tuple(reference_greedy_weights(C))
 
 
 def rs7():
@@ -383,15 +454,17 @@ def test_heaviest_gf4_enumeration_budget():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The number of words weighed since the last reset, counted at _weights."""
+    """The number of words weighed since the last reset, counted at _Words.weights."""
     counted = [0]
-    weights = code_module._weights
+    weights = code_module._Words.weights
 
-    def counting(words, *args):
-        counted[0] += words.shape[1]
-        return weights(words, *args)
+    def counting(self, X, N):
+        counted[0] += N
+        result = weights(self, X, N)
+        assert len(result) == N
+        return result
 
-    monkeypatch.setattr(code_module, "_weights", counting)
+    monkeypatch.setattr(code_module._Words, "weights", counting)
     return counted
 
 

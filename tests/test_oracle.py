@@ -284,13 +284,16 @@ def test_euclid_pair_grid_derives_each_subset_once():
 
 
 def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
-    # one enumeration per code serves both its distance and its relative weights
-    built, enumerated = [], []
-    real = code_module._word_blocks
+    # one enumeration per code serves both its distance and its relative
+    # weights, and weighs each of its 2^k - 1 nonzero words once
+    built, enumerated, weighed = [], [], []
+    real, weights = code_module._word_blocks, code_module._Words.weights
     monkeypatch.setattr(oracle, "cyclic_code",
                         lambda Z, base, ext: built.append(Z) or cyclic_code(Z, base, ext))
     monkeypatch.setattr(code_module, "_word_blocks",
                         lambda M: enumerated.append(M) or real(M))
+    monkeypatch.setattr(code_module._Words, "weights",
+                        lambda L, X, N: weighed.append(N) or weights(L, X, N))
     oracle._measured_cyclic_code.cache_clear()
     oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)
@@ -298,6 +301,7 @@ def test_euclid_pair_sweep_builds_and_measures_each_code_once(monkeypatch):
     assert len(reports) == len(subsets) ** 2
     assert len(built) == len(set(built)) == len(enumerated) == len(subsets)
     assert set(built) == set(subsets)
+    assert sum(weighed) == sum(2 ** (7 - len(Z.elems)) - 1 for Z in subsets)
     assert all(r.passed for r in reports)
 
 
