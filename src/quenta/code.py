@@ -1,15 +1,18 @@
 """Concrete linear codes as matrices over finite fields.
 
-Generator/parity-check pairs built from generator polynomials, exact
-rank/kernel computations and products, Hermitian duals, and one
-meet-in-the-middle enumeration of one codeword per projective point, on
-Python ints for every field (see _Words).  It gives the exhaustive minimum
-distance, the least weight of the code itself, or when k > n - k from the
-weight distribution of its smaller dual by the MacWilliams identity (the cap
-bounds q^k either way), and each code's light basis: k codewords picked
-greedily in nondecreasing weight, each a lightest word outside the span of
-those before it, so that its rows of weight at most w span every codeword
-of weight at most w.  Everything is exact.
+Generator/parity-check pairs of cyclic codes, each matrix the shifts of one
+row built from a polynomial's coefficients (G the k shifts of g(x), H the
+n - k shifts of h(x) = (x^n - 1)/g(x) reversed), a code's Frobenius images
+(G^q0, H^q0) over GF(q0^2), built once per code, exact rank/kernel
+computations and products, Hermitian duals, and one meet-in-the-middle
+enumeration of one codeword per projective point, on Python ints for every
+field (see _Words).  It gives the exhaustive minimum distance, the least
+weight of the code itself, or when k > n - k from the weight distribution of
+its smaller dual by the MacWilliams identity (the cap bounds q^k either way),
+and each code's light basis: k codewords picked greedily in nondecreasing
+weight, each a lightest word outside the span of those before it, so that its
+rows of weight at most w span every codeword of weight at most w.  Everything
+is exact.
 
 The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
 GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import comb
+from math import comb, isqrt
 from operator import lshift
 from typing import TYPE_CHECKING
 
@@ -519,6 +522,13 @@ class LinearCode:
         one enumeration of its q^k words, which callers bound."""
         return _light_basis(self.G, self._G_info)
 
+    @cached_property
+    def frobenius_images(self) -> tuple[Matrix, Matrix]:
+        """(G^q0, H^q0) over GF(q0^2): the generator and parity check of the
+        code C^q0, built once per code; ValueError over any other field."""
+        q0 = isqrt(self.field.q)
+        return frobenius_entrywise(self.G, q0), frobenius_entrywise(self.H, q0)
+
 
 def stacked_rank(C: LinearCode, M: Matrix) -> int:
     """rk[H; M] for C's parity check H and rows M as long as C's words.  Over a
@@ -531,21 +541,33 @@ def stacked_rank(C: LinearCode, M: Matrix) -> int:
     return len(_echelon(M, C._H_echelon))
 
 
+def _shifts(F: GF, coeffs: tuple[int, ...], count: int, n: int) -> Matrix:
+    """The count x n matrix whose row i is coeffs, the entries of a validated
+    Poly, shifted i columns right: the lane row of coeffs shifted down i lanes,
+    or over a field without lane rows the tuple row.  Unchecked: the entries
+    are field elements, and count + len(coeffs) - 1 <= n."""
+    if not count:  # coeffs may then be longer than a row
+        return _made(F, (), n)
+    row = coeffs + (0,) * (n - len(coeffs))
+    L = _lanes(F)
+    if L is None:
+        return _made(F, ((0,) * i + row[:n - i] for i in range(count)), n)
+    x, b = L.pack([row])[0], L.b
+    return _made(F, [x >> i * b for i in range(count)], n)
+
+
 def cyclic_code(Z: DefiningSet, base: GF, ext: GF) -> LinearCode:
-    """The cyclic code over ``base`` with defining set Z, via its generator polynomial."""
+    """The cyclic code over ``base`` with defining set Z: G is the k shifts of
+    its generator polynomial g(x), H the n - k shifts of h(x) = (x^n - 1)/g(x)
+    reversed (MacWilliams & Sloane, ch. 7)."""
     n = Z.n
     g = generator_from_defset(Z.elems, n, base, ext)
-    k = n - g.deg
-    gc = g.coeffs
-    G = Matrix(base, tuple(
-        (0,) * i + gc + (0,) * (n - len(gc) - i) for i in range(k)
-    ), n)
     h, r = divmod_poly(x_pow_n_minus_one(base, n), g)
-    assert r.is_zero()
-    hc = tuple(reversed(h.coeffs))
-    H = Matrix(base, tuple(
-        (0,) * i + hc + (0,) * (n - len(hc) - i) for i in range(n - k)
-    ), n)
+    if not r.is_zero():
+        raise ValueError(f"g(x) = {g.coeffs} does not divide x^{n} - 1 over GF({base.q})")
+    k = n - g.deg
+    G = _shifts(base, g.coeffs, k, n)
+    H = _shifts(base, h.coeffs[::-1], n - k, n)
     return LinearCode(base, n, G, H)
 
 

@@ -26,7 +26,6 @@ from .code import (
     LinearCode,
     Matrix,
     cyclic_code,
-    frobenius_entrywise,
     min_distance_exhaustive,
     product,
     rank,
@@ -118,7 +117,9 @@ def entanglement_rank_hermitian(C: LinearCode, q0: int) -> int:
     Euclidean count of the pair (C, C^q0).  Frobenius maps the hull
     C ∩ (C^q0)-dual onto C-dual ∩ C^q0, so the identity's intersection is
     the hull's dimension."""
-    return _entanglement_rank(C, frobenius_entrywise(C.G, q0), frobenius_entrywise(C.H, q0))
+    if C.field.q != q0 * q0:
+        raise ValueError(f"field of size {C.field.q} is not GF({q0}^2)")
+    return _entanglement_rank(C, *C.frobenius_images)
 
 
 def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):
@@ -305,7 +306,7 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
     rows = _rank_rows(p, pred_int, lcd, C, C.k, c_rank, d)
 
     notes = []
-    rel = relative_min_weight(C, frobenius_entrywise(C.G, q0))
+    rel = relative_min_weight(C, C.frobenius_images[0])
     if rel == "capped":
         notes.append(_relative_capped_note(C))
     else:

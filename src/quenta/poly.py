@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .defset import cyclotomic_coset
+from .defset import coset_partition, cyclotomic_coset
 from .gf import GF, embedding
 
 
@@ -122,21 +122,34 @@ def minimal_polynomial(i: int, n: int, base: GF, ext: GF) -> Poly:
     return _root_product(cyclotomic_coset(i, n, base.q).elems, n, base, ext)
 
 
+@lru_cache(maxsize=None)
+def _coset_leaders(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(leader, size): for each i in Z_n, the least element of its cyclotomic
+    coset under q, and that coset's size; built once per (n, q)."""
+    leader, size = [0] * n, [0] * n
+    for coset in coset_partition(n, q):
+        for i in coset.elems:
+            leader[i], size[i] = coset.elems[0], len(coset)
+    return tuple(leader), tuple(size)
+
+
 def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
     """g(x) = prod_{i in Z}(x - beta^i) with coefficients in the base field: the
     product, over the base field, of the cached minimal polynomials of Z's
-    cosets.  Refuses an n that does not divide |ext| - 1, and a Z that is not a
-    union of cosets (its root product has coefficients outside the base field)."""
+    cosets, each named by its leader.  Refuses an n that does not divide
+    |ext| - 1, and a Z that is not a union of cosets (its root product has
+    coefficients outside the base field)."""
     if (ext.q - 1) % n != 0:
         raise ValueError(f"n = {n} does not divide {ext.q} - 1")
     idx = {i % n for i in indices}
-    cosets = {cyclotomic_coset(i, n, base.q) for i in idx}
-    if sum(map(len, cosets)) != len(idx):
+    leader, size = _coset_leaders(n, base.q)
+    leaders = {leader[i] for i in idx}
+    if sum(size[i] for i in leaders) != len(idx):
         raise ValueError(
             f"root set {sorted(idx)} is not closed under multiplication by "
             f"{base.q} mod {n}: product has coefficients outside GF({base.q})"
         )
-    g = reduce(mul, (minimal_polynomial(Z.elems[0], n, base, ext) for Z in cosets), one(base))
+    g = reduce(mul, (minimal_polynomial(i, n, base, ext) for i in leaders), one(base))
     if g.deg != len(idx):
         raise AssertionError("degree of generator must equal |Z|")
     return g

@@ -70,6 +70,34 @@ MUTATIONS = (
     Mutation("code.py imports numpy at the top again", "code.py",
              "from operator import lshift\n", "from operator import lshift\n\nimport numpy as np\n",
              ("tests/test_cli.py::test_lane_field_runs_never_import_numpy",)),
+    Mutation("cyclic_code shifts each lane row up, not down", "code.py",
+             "[x >> i * b for i in range(count)]", "[x << i * b for i in range(count)]",
+             ("tests/test_code.py::test_cyclic_code_matrices_match_the_tuple_row_reference",
+              "tests/test_code.py::test_cyclic_code_rows_vanish_on_their_roots")),
+    Mutation("cyclic_code builds H from h(x) not reversed", "code.py",
+             "_shifts(base, h.coeffs[::-1], n - k, n)", "_shifts(base, h.coeffs, n - k, n)",
+             ("tests/test_code.py::test_cyclic_code_matrices_match_the_tuple_row_reference",
+              "tests/test_code.py::test_cyclic_code_rows_vanish_on_their_roots")),
+    Mutation("frobenius_images hands G^q0 back as H^q0", "code.py",
+             "frobenius_entrywise(self.H, q0)", "frobenius_entrywise(self.G, q0)",
+             ("tests/test_code.py::test_frobenius_images_are_built_once_per_code",)),
+    Mutation("the coset leader table is built under the splitting field's order", "poly.py",
+             "_coset_leaders(n, base.q)", "_coset_leaders(n, ext.q)",
+             ("tests/test_code.py::test_cyclic_code_matrices_match_the_tuple_row_reference",
+              "tests/test_poly.py::test_generator_is_root_product_for_every_closed_set")),
+    Mutation("_min_weight stops at the first block holding a word of weight 1", "code.py",
+             "        least = next((w for w in range(1, least) if w in weights), least)\n",
+             "        least = next((w for w in range(1, least) if w in weights), least)\n"
+             "        if least == 1:\n"
+             "            break\n",
+             ("tests/test_code.py::test_distance_weighs_every_normalized_word_of_the_smaller_side",)),
+    Mutation("set_modulus_overrides clears the field memos by their public names", "gf.py",
+             "    for memo in _FIELD_MEMOS:\n"
+             "        memo.cache_clear()\n",
+             "    _build_field.cache_clear()\n"
+             "    field_from_order.cache_clear()\n"
+             "    splitting_field.cache_clear()\n",
+             ("tests/test_layertrace.py::test_a_traced_process_survives_an_override_change",)),
     Mutation("_echelon reduces into kept itself, not a copy", "code.py",
              "{} if kept is None else dict(kept)", "{} if kept is None else kept",
              ("tests/test_code.py::test_kept_echelon_gives_the_dimension_identity",)),

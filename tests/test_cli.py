@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -508,6 +509,16 @@ def test_a_field_without_lane_rows_imports_numpy_and_prints_the_same_bytes():
         "3960434da23e43847c68a87b3859b88dd9d07bed38d4b3738195ea1b34015e32")
     assert json.loads(run.stdout)["verification"]["notes"] == [
         "relative distances outside the dual intersections: 25, 25 (combined 25; claimed d = 25)"]
+
+
+def test_no_check_in_the_package_is_an_assert_statement():
+    # python -O strips assert statements, so a check written as one would pass
+    # silently there: every check of the package raises explicitly
+    package = Path(cli.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_a_closed_pipe_exits_141_without_an_error():

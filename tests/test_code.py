@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quenta import code as code_module
+from quenta import oracle as oracle_module
 from quenta.cli import main
 from quenta.code import (
     EnumerationCapError,
@@ -29,6 +30,7 @@ from quenta.constructions import bch_hermit
 from quenta.defset import (
     bch_bound,
     coset_closed_subsets as closed_subsets,
+    coset_partition,
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
@@ -41,11 +43,13 @@ from quenta.oracle import (
     instances,
     relative_min_weight,
 )
+from quenta.poly import divmod_poly, generator_from_defset, poly, x_pow_n_minus_one
 
 from helpers import (
     code_from_rows,
     defining_set_of,
     dual_code,
+    evaluate,
     hermitian_hull_dim,
     hull_dim,
     intersection_dim_matrices,
@@ -154,6 +158,91 @@ def test_cyclic_code_dimension_is_n_minus_Z(n, q):
         # dual defining-set law checked against matrix-level dual
         D = dual_code(C)
         assert defining_set_of(D, ext) == euclidean_dual_defset(Z)
+
+
+# a length per field whose splitting field is a proper extension where one
+# exists: GF(16), GF(16), GF(64), GF(9), GF(49), GF(81) and GF(27) itself,
+# which has no lane rows
+_CYCLIC_LENGTHS = [(2, 15), (4, 15), (8, 9), (3, 8), (7, 8), (9, 10), (27, 13)]
+
+
+def _sampled_defsets(q, n):
+    """Z = ∅ (k = n), Z = Z_n (k = 0) and six random unions of cosets."""
+    rng = random.Random(1000 * q + n)
+    cosets = coset_partition(n, q)
+    picks = [(), cosets] + [[c for c in cosets if rng.random() < 0.5] for _ in range(6)]
+    return [defset(n, q, itertools.chain.from_iterable(coset.elems for coset in pick))
+            for pick in picks]
+
+
+@pytest.mark.parametrize("q,n", _CYCLIC_LENGTHS)
+def test_cyclic_code_matrices_match_the_tuple_row_reference(q, n):
+    # G's rows are the k shifts of g(x), H's the n - k shifts of h(x) reversed,
+    # each built here as tuple rows and validated by Matrix
+    base, ext = field_from_order(q), splitting_field(q, n)
+    for Z in _sampled_defsets(q, n):
+        C = cyclic_code(Z, base, ext)
+        g = generator_from_defset(Z.elems, n, base, ext)
+        h, r = divmod_poly(x_pow_n_minus_one(base, n), g)
+        assert r.is_zero()
+        k = n - g.deg
+        hc = h.coeffs[::-1]
+        G = Matrix(base, [(0,) * i + g.coeffs + (0,) * (n - len(g.coeffs) - i) for i in range(k)], n)
+        H = Matrix(base, [(0,) * i + hc + (0,) * (n - len(hc) - i) for i in range(n - k)], n)
+        assert (C.G, C.H) == (G, H)
+        assert (C.G.rows, C.H.rows) == (G.rows, H.rows)
+        assert (C.G.nrows, C.H.nrows, C.G.ncols, C.H.ncols) == (k, n - k, n, n)
+
+
+@pytest.mark.parametrize("q,n", _CYCLIC_LENGTHS)
+def test_cyclic_code_rows_vanish_on_their_roots(q, n):
+    # independent of the generator product: each row of G, read as a
+    # polynomial, vanishes at beta^z for z in Z, and each row of H at beta^-z
+    # for z outside Z, evaluated by Horner in the splitting field.  With G of
+    # full rank n - |Z| (LinearCode checks it), G spans exactly C_Z
+    base, ext = field_from_order(q), splitting_field(q, n)
+    beta = ext.nth_root_of_unity(n)
+    for Z in _sampled_defsets(q, n):
+        C = cyclic_code(Z, base, ext)
+        outside = [z for z in range(n) if z not in Z.as_set()]
+        assert (C.G.nrows, C.H.nrows) == (len(outside), len(Z))
+        for M, roots in ((C.G, Z.elems), (C.H, [-z % n for z in outside])):
+            for row in M.rows:
+                f = poly(base, row)
+                assert not f.is_zero()
+                assert all(evaluate(f, ext.pow(beta, z), ext) == 0 for z in roots)
+
+
+def test_cyclic_code_refuses_a_generator_that_does_not_divide_x_n_minus_1(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2), and x + 1 divides x^7 - 1 only once
+    monkeypatch.setattr(code_module, "generator_from_defset", lambda *_: poly(F2, [1, 0, 1]))
+    with pytest.raises(ValueError, match=r"^g\(x\) = \(1, 0, 1\) does not divide x\^7 - 1 over GF\(2\)$"):
+        cyclic_code(defset(7, 2, {1, 2, 4}), F2, splitting_field(2, 7))
+
+
+def test_frobenius_images_are_built_once_per_code(monkeypatch):
+    C = cyclic_code(defset(15, 4, {1, 4}), F4, splitting_field(4, 15))
+    Gq, Hq = C.frobenius_images
+    assert (Gq, Hq) == (frobenius_entrywise(C.G, 2), frobenius_entrywise(C.H, 2))
+    assert Gq != Hq and C.frobenius_images[0] is Gq and C.frobenius_images[1] is Hq
+    assert entanglement_rank_hermitian(C, 2) == C.H.nrows - hermitian_hull_dim(C, 2)
+    with pytest.raises(ValueError, match=r"is not GF\(4\^2\)"):
+        entanglement_rank_hermitian(C, 4)
+    with pytest.raises(ValueError):
+        cyclic_code(defset(7, 2, {1, 2, 4}), F2, splitting_field(2, 7)).frobenius_images
+    # a Hermitian sweep maps each code's G and H once, for its entanglement
+    # rank and its relative weight together, and a second sweep reads them
+    # from the memoised codes
+    built, mapped = [], []
+    monkeypatch.setattr(oracle_module, "cyclic_code",
+                        lambda *a: built.append(a) or cyclic_code(*a))
+    monkeypatch.setattr(code_module, "frobenius_entrywise",
+                        lambda M, q0: mapped.append(M) or frobenius_entrywise(M, q0))
+    oracle_module._measured_cyclic_code.cache_clear()
+    for _ in range(2):
+        assert main(["verify", "--family", "hermitian", "--q", "2", "--n", "5"]) == 0
+    assert len(mapped) == 2 * len(built) == 16
+    oracle_module._measured_cyclic_code.cache_clear()
 
 
 def test_dual_code_swaps_roles():
