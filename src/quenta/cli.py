@@ -2,7 +2,8 @@
 
 Output is JSON by default (one object per row) or CSV with ``--format csv``.
 Exit codes: 0 success, 1 usage or precondition error, 2 verification failure,
-141 stdout closed by its reader before the output was written.
+3 an internal cross-check failed (a fault of quenta), 141 stdout closed by its
+reader before the output was written.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from .config import load_config
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, SingletonViolationError, singleton
 from .defset import coset_partition
-from .gf import prime_power, set_modulus_overrides
+from .gf import CrossCheckError, prime_power, set_modulus_overrides
 from .oracle import FAMILIES, SKIPPED, VerificationReport, sweep, verify_instance, instances
 
 CSV_COLUMNS = ("family", "case", "q", "n", "k", "d", "d_kind", "c",
@@ -301,10 +302,8 @@ def main(argv=None) -> int:
             code = cmd_construct(args, cfg)
         elif args.command == "table":
             code = cmd_table(args, cfg)
-        elif args.command == "verify":
+        else:  # the parser admits no command but these four
             code = cmd_verify(args, cfg)
-        else:
-            raise AssertionError(args.command)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -317,6 +316,9 @@ def main(argv=None) -> int:
     except (ValueError, SingletonViolationError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except CrossCheckError as exc:
+        sys.stderr.write(f"internal error: cross-check failed: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,51 +1,35 @@
 """Concrete linear codes as matrices over finite fields.
 
-Generator/parity-check pairs of cyclic codes, each matrix the shifts of one
-row built from a polynomial's coefficients (G the k shifts of g(x), H the
-n - k shifts of h(x) = (x^n - 1)/g(x) reversed), a code's Frobenius images
-(G^q0, H^q0) over GF(q0^2), built once per code, exact rank/kernel
-computations and products, Hermitian duals, and one meet-in-the-middle
-enumeration of one codeword per projective point, on Python ints for every
-field (see _Words).  It gives the exhaustive minimum distance, the least
-weight of the code itself, or when k > n - k from the weight distribution of
-its smaller dual by the MacWilliams identity (the cap bounds q^k either way),
-and each code's light basis: k codewords picked greedily in nondecreasing
-weight, each a lightest word outside the span of those before it, so that its
-rows of weight at most w span every codeword of weight at most w.  Everything
-is exact.
+Cyclic codes as generator/parity-check pairs (G the k shifts of g(x), H the
+n - k shifts of h(x) = (x^n - 1)/g(x) reversed), each code's Frobenius images
+(G^q0, H^q0) over GF(q0^2), built once per code, Hermitian duals, and exact
+rank, kernel bases and products.
 
-The field alone picks the row engine.  Over GF(2^m) up to GF(256), GF(3),
-GF(5), GF(7), GF(9), GF(25), GF(49) and the primes 11 to 127, a matrix is
-stored as lane rows (see _Lanes) from construction to result: each row is one
-int, the first column most significant, of one bit per entry over GF(2), for
-Four Russians products, and of one byte per entry, with no padding lane, over
-the other lane fields.  Rows add by XOR in characteristic 2 and digit-lane-wise
-mod p otherwise; scaling a row, and the Frobenius map, translate its bytes
-through a 256-byte table per constant.  Rank (forward elimination), product
-(Four Russians over GF(2); otherwise one scaled sum of the right factor's rows
-per distinct scalar of a left row), stack and transpose never form tuple rows,
-which are derived only when read.  Over every other field rank and products
-use numpy arrays of int64 field elements.  The kernel basis uses one int64 row
-reduction over every field, and returns lane rows where the field has them.
-Each function that uses numpy imports it in its body, and no module imports
-it at the top, so a run whose fields all have lane rows never loads it.
+A matrix keeps one of two stored forms (see Matrix), picked by its field:
+- lane rows over GF(2^m) up to GF(256), GF(3), GF(5), GF(7), GF(9), GF(25),
+  GF(49) and the primes 11 to 127: rank by _echelon, products by
+  _product_gf2 (Four Russians) over GF(2) and _product_scaled otherwise;
+- tuple rows over every other field: rank by _tuple_echelon, products by
+  _product_rows, both loops over the field's log/antilog tables.
+A code keeps the echelon of its H, into a copy of which stacked_rank
+reduces other rows.  The kernel basis is read off the tuple-row echelon.
+
+One meet-in-the-middle enumeration of one codeword per projective point, on
+Python ints for every field (_word_blocks, _Words), gives the exhaustive
+minimum distance (min_distance_exhaustive) and each code's light basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import comb, isqrt
 from operator import lshift
-from typing import TYPE_CHECKING
 
 from .defset import DefiningSet
 from .gf import GF
 from .poly import divmod_poly, generator_from_defset, x_pow_n_minus_one
-
-if TYPE_CHECKING:  # imported at run time only by the functions that build arrays
-    import numpy
 
 DEFAULT_DISTANCE_CAP = 1 << 22
 
@@ -108,11 +92,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.lanes if self.lanes is not None else map(any, self._rows))
-
-    def to_numpy(self) -> numpy.ndarray:
-        import numpy as np
-
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
 
 
 def _made(field: GF, rows, ncols: int) -> Matrix:
@@ -221,7 +200,7 @@ def _translate(x: int, table: bytes, nbytes: int) -> int:
 
 @lru_cache(maxsize=None)
 def _lanes(F: GF) -> _Lanes | None:
-    """F's lane form, or None when F's matrices keep tuple rows (numpy's fields)."""
+    """F's lane form, or None when F's matrices keep tuple rows."""
     w = 1 if F.p == 2 else 4 if F.p <= 7 else 8 if F.p <= 127 else 0
     return _Lanes(F, w) if w and F.m * w <= 8 else None
 
@@ -244,17 +223,17 @@ def product(A: Matrix, B: Matrix) -> Matrix:
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: {A.nrows}x{A.ncols} times {B.nrows}x{B.ncols}")
     if A.lanes is None:
-        rows = _product_numpy(A, B)
+        rows = _product_rows(A, B)
     else:
         rows = _product_gf2(A, B) if A.field.q == 2 else _product_scaled(A, B)
     return _made(A.field, rows, B.ncols)
 
 
 # ----------------------------------------------------------------------
-# rank and products on lane rows, or numpy for fields without them; RREF on numpy
+# rank and products on lane rows, or on tuple rows for fields without them
 # ----------------------------------------------------------------------
 
-def _echelon(M: Matrix, kept: dict[int, int] | None = None) -> dict[int, int]:
+def _echelon(M: Matrix, kept: dict | None = None) -> dict:
     """Rows with distinct leading lanes spanning the lane rows of M, each with
     leading coefficient 1 and keyed by its bit length: each row is cleared by
     the rows already kept whose leading lane it has, highest first, until its
@@ -263,7 +242,9 @@ def _echelon(M: Matrix, kept: dict[int, int] | None = None) -> dict[int, int]:
     up again.  Over GF(2) every coefficient is 1 and the loop only XORs.  Over
     odd fields the kept rows are stored negated, so clearing is one add.
     Given ``kept``, the echelon of other rows as wide as M's, M's rows are
-    reduced into a copy of it, which then spans both."""
+    reduced into a copy of it, which then spans both.  Tuple rows go to _tuple_echelon."""
+    if M.lanes is None:
+        return _tuple_echelon(M, kept)
     L = _lanes(M.field)
     b, nb, over = L.b, L.nbytes(M.ncols), L.over
     p, w1, minus = L.field.p, L.w - 1, L.minus
@@ -334,108 +315,98 @@ def _product_scaled(A: Matrix, B: Matrix) -> list[int]:
     return out
 
 
-class _ArrayField:
-    """F's arithmetic on int64 arrays of F's own tables, for the fields
-    without lane rows: products through the log/antilog lists, differences by
-    XOR (characteristic 2), mod p (prime fields) or Zech logarithms (odd
-    extension fields)."""
-
-    def __init__(self, F: GF):
-        import numpy as np
-
-        p, m = F.p, F.m
-        self.p, self.m, self.q1 = p, m, F.q - 1
-        self.exp = np.array(F._exp, dtype=np.int64)
-        self.log = np.array(F._log, dtype=np.int64)
-        if p > 2 and m > 1:
-            self.half = self.q1 // 2  # alpha^half = -1
-            self.zech = np.array(F._zech, dtype=np.int64)
-
-    def sub_outer(self, a, f, P):
-        """a - f ⊗ P for a column f of nonzero scalars and a row P."""
-        import numpy as np
-
-        if self.p == 2 or self.m == 1:
-            fP = self.exp[self.log[f][:, None] + self.log[P]]
-            return a ^ fP if self.p == 2 else (a - fP) % self.p
-        # a + (-f) ⊗ P by Zech logarithms: x + y = x * (1 + y/x)
-        ly = ((self.log[f] + self.half) % self.q1)[:, None] + self.log[P]
-        lx = self.log[a]
-        s = self.exp[lx + self.zech[(ly - lx) % self.q1]]
-        return np.where(P == 0, a, np.where(a == 0, self.exp[ly], s))
-
-
-_array_field = lru_cache(maxsize=None)(_ArrayField)  # one per field
-
-
-def _rref(M: Matrix) -> tuple[numpy.ndarray, list[int]]:
-    """(RREF, pivot columns) on an int64 array, over every field; each pivot
-    updates only the rows it has to clear."""
-    import numpy as np
-
-    F, ops = M.field, _array_field(M.field)
-    A = M.to_numpy()
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(M.ncols):
-        if pr == M.nrows:
-            break
-        below = np.flatnonzero(A[pr:, pc])
-        if not below.size:
-            continue
-        r = pr + int(below[0])
-        if r != pr:
-            A[[pr, r]] = A[[r, pr]]
-        inv = F.inv(int(A[pr, pc]))
-        if inv != 1:
-            A[pr, pc:] = ops.exp[ops.log[A[pr, pc:]] + ops.log[inv]]
-        hit = np.flatnonzero(A[:, pc])
-        hit = hit[hit != pr]
-        if hit.size:
-            # columns before pc of the pivot row are zero
-            A[hit, pc:] = ops.sub_outer(A[hit, pc:], A[hit, pc], A[pr, pc:])
-        pivots.append(pc)
-        pr += 1
-    return A, pivots
+def _tuple_echelon(M: Matrix, kept: dict | None = None) -> dict[int, list[tuple[int, int]]]:
+    """The echelon of M's tuple rows, keyed by pivot column: each kept row is
+    scaled to a leading 1, negated, and stored as the (column, log) pairs of
+    its nonzero entries after the pivot.  Each row is reduced once, left to
+    right, adding by XOR in characteristic 2, as integers reduced mod p once
+    per entry over odd prime fields, and by Zech logarithms otherwise.
+    Given ``kept``, M's rows are reduced into a copy of it."""
+    F, n = M.field, M.ncols
+    p, q1, exp, log = F.p, F.q - 1, F._exp, F._log
+    prime = p > 2 and F.m == 1
+    zech = F._zech if p > 2 and not prime else None
+    lead = {} if kept is None else kept.copy()
+    for row in M.rows:
+        x = list(row)
+        for c in range(n):
+            a = x[c] % p if prime else x[c]
+            if not a:
+                continue
+            la, y = log[a], lead.get(c)
+            if y is None:  # -x/a; over odd p, -1 is alpha^(q1/2)
+                x = [e % p for e in x] if prime else x
+                shift = (q1 // 2 if p > 2 else 0) - la
+                lead[c] = [(j, (log[x[j]] + shift) % q1) for j in range(c + 1, n) if x[j]]
+                break
+            if p == 2:
+                for j, ls in y:
+                    x[j] ^= exp[la + ls]
+            elif prime:
+                for j, ls in y:
+                    x[j] += exp[la + ls]
+            else:  # b + alpha^t = alpha^(log b)·(1 + alpha^(t - log b))
+                for j, ls in y:
+                    t, b = la + ls, x[j]
+                    x[j] = exp[log[b] + zech[t - log[b]]] if b else exp[t]
+    return lead
 
 
-def _product_numpy(A: Matrix, B: Matrix) -> list[list[int]]:
-    """One integer matmul mod p: each entry of A becomes the m x m GF(p)-matrix
-    of multiplication by it (column v holds the digits of a * x^v, read from
-    the log/antilog tables), and each entry of B its m digits."""
-    import numpy as np
+@lru_cache(maxsize=None)
+def _wide_exp(F: GF, width: int) -> list[int]:
+    """F's antilogs, the list twice over, with base-p digit i in bits [i·width, (i + 1)·width)."""
+    return [sum(e // F.p ** i % F.p << i * width for i in range(F.m)) for e in F._exp[:2 * F.q - 2]]
 
-    F, ops = A.field, _array_field(A.field)
-    p, m = F.p, F.m
-    radix = p ** np.arange(m)
-    a, b = A.to_numpy(), B.to_numpy()
-    shifted = ops.exp[ops.log[a][..., None] + np.arange(m)]
-    a = (shifted[..., None] // radix % p).transpose(0, 3, 1, 2).reshape(A.nrows * m, A.ncols * m)
-    b = (b[..., None] // radix % p).transpose(0, 2, 1).reshape(B.nrows * m, B.ncols)
-    c = (a @ b % p).reshape(A.nrows, m, B.ncols)  # exact: each sum is below k·m·p² < 2^63
-    return (c * radix[:, None]).sum(axis=1).tolist()
+
+def _product_rows(A: Matrix, B: Matrix) -> list[list[int]]:
+    """Tuple rows of A·B: each nonzero a_ik adds alpha^(log a_ik + log b_kj)
+    into entry j, for each nonzero b_kj.  Terms add by XOR in characteristic
+    2, otherwise as integers (over odd extension fields, their base-p digits
+    in lanes wide enough for A.ncols terms), reduced mod p once per entry."""
+    F = A.field
+    p, m, log = F.p, F.m, F._log
+    width = (A.ncols * (p - 1)).bit_length()
+    terms = F._exp if p == 2 or m == 1 else _wide_exp(F, width)
+    mask, radix = (1 << width) - 1, [p ** i for i in range(m)]
+    rows_b = [[(j, log[b]) for j, b in enumerate(r) if b] for r in B.rows]
+    out = []
+    for a in A.rows:
+        acc = [0] * B.ncols
+        for x, y in zip(a, rows_b):
+            if x:
+                lx = log[x]
+                if p == 2:
+                    for j, lb in y:
+                        acc[j] ^= terms[lx + lb]
+                else:
+                    for j, lb in y:
+                        acc[j] += terms[lx + lb]
+        if p > 2:
+            acc = [s % p for s in acc] if m == 1 else [
+                sum((s >> i * width & mask) % p * r for i, r in enumerate(radix)) for s in acc]
+        out.append(acc)
+    return out
 
 
 def rank(M: Matrix) -> int:
-    if M.lanes is not None:
-        return len(_echelon(M))
-    _, pivots = _rref(M)
-    return len(pivots)
+    return len(_echelon(M))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
-    """Rows spanning the right null space {x : M x^T = 0}; (ncols - rank) rows."""
-    import numpy as np
-
+    """Rows spanning {x : M x^T = 0}, one per free column f of M's tuple-row
+    echelon, by back-substitution: x_f = 1 and the other free entries 0.  In
+    the field's stored form."""
     F, n = M.field, M.ncols
-    A, pivots = _rref(M)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free_cols), n), dtype=np.int64)
-    for i, f in enumerate(free_cols):
-        basis[i, f] = 1
-        basis[i, pivots] = [F.neg(int(e)) for e in A[:len(pivots), f]]
-    return _array_matrix(F, basis)
+    exp, log, lead = F._exp, F._log, _tuple_echelon(M)
+    rows = []
+    for f in (c for c in range(n) if c not in lead):
+        x = [0] * n
+        x[f] = 1
+        for c in sorted((c for c in lead if c < f), reverse=True):
+            x[c] = reduce(F.add, (exp[ls + log[x[j]]] for j, ls in lead[c] if x[j]), 0)
+        rows.append(x)
+    L = _lanes(F)
+    return _made(F, L.pack(rows) if L else rows, n)
 
 
 def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
@@ -456,25 +427,11 @@ def stack(A: Matrix, B: Matrix) -> Matrix:
     return _made(A.field, A._stored + B._stored, A.ncols)
 
 
-def _array_matrix(F: GF, elements) -> Matrix:
-    """The matrix of a 2-d numpy array of F's elements, in F's stored form."""
-    import numpy as np
-
-    L = _lanes(F)
-    if L is None:
-        return _made(F, elements.tolist(), elements.shape[1])
-    n = elements.shape[1]
-    if not n:  # zero-width lane rows are all 0
-        return _made(F, [0] * len(elements), 0)
-    codes = elements.astype(np.uint8, copy=False).tobytes().translate(L.encode)
-    return _made(F, L.from_codes(codes[i:i + n] for i in range(0, len(codes), n)), n)
-
-
 def _pivot_columns(M: Matrix) -> list[int]:
     """The columns of M outside the span of the columns before them: the
     leading columns of its echelon form."""
     if M.lanes is None:
-        return _rref(M)[1]
+        return sorted(_tuple_echelon(M))
     b = _lanes(M.field).b
     return sorted(M.ncols - 1 - (top - 1) // b for top in _echelon(M))
 
@@ -499,12 +456,11 @@ class LinearCode:
             raise ValueError("rank deficit: k + (n - k) != n")
         if not product(self.G, transpose(self.H)).is_zero():
             raise ValueError("G H^T != 0")
-        # G's pivots, an information set kept for light_basis, and H's echelon
-        # over a lane field, kept for stacked_rank
+        # G's pivots, an information set kept for light_basis, and H's echelon,
+        # kept for stacked_rank
         info = _pivot_columns(self.G)
-        echelon = _echelon(self.H) if self.H.lanes is not None else None
-        h_rank = rank(self.H) if echelon is None else len(echelon)
-        if len(info) != self.G.nrows or h_rank != self.H.nrows:
+        echelon = _echelon(self.H)
+        if len(info) != self.G.nrows or len(echelon) != self.H.nrows:
             raise ValueError("G or H is not full row rank")
         object.__setattr__(self, "_G_info", info)
         object.__setattr__(self, "_H_echelon", echelon)
@@ -531,11 +487,9 @@ class LinearCode:
 
 
 def stacked_rank(C: LinearCode, M: Matrix) -> int:
-    """rk[H; M] for C's parity check H and rows M as long as C's words.  Over a
-    lane field only M's rows are reduced, into a copy of the echelon of H that
-    C kept from its own rank check."""
-    if C._H_echelon is None:
-        return rank(stack(C.H, M))
+    """rk[H; M] for C's parity check H and rows M as long as C's words: only
+    M's rows are reduced, into a copy of the echelon of H that C kept from its
+    own rank check."""
     if M.field != C.field or M.ncols != C.n:
         raise ValueError("stack requires same field and column count")
     return len(_echelon(M, C._H_echelon))

@@ -25,7 +25,7 @@ from .defset import (
     is_lcd_hermitian,
     rs_defset,
 )
-from .gf import prime_power
+from .gf import CrossCheckError, prime_power
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -256,9 +256,9 @@ def bch_euclid(q: int, a: int, b: int) -> QuentaParams:
     Z1_dual = coset_closure(range(a + 1), n, q)
     Z2 = coset_closure([q - i for i in range(1, b + 1)], n, q)
     if len(Z1_dual) != 2 * a + 1:
-        raise AssertionError(f"|union of cosets 0..{a}| = {len(Z1_dual)} != 2a + 1")
+        raise CrossCheckError(f"|union of cosets 0..{a}| = {len(Z1_dual)} != 2a + 1")
     if len(Z2) != 2 * b - b // q:
-        raise AssertionError(f"|union of cosets q-b..q-1| = {len(Z2)} != 2b - floor(b/q)")
+        raise CrossCheckError(f"|union of cosets q-b..q-1| = {len(Z2)} != 2b - floor(b/q)")
     Z1 = euclidean_dual_defset(Z1_dual)
     k1 = n - len(Z1)
     k2 = n - len(Z2)
@@ -377,15 +377,15 @@ def bch_hermit(q: int, a: int) -> QuentaParams:
     base = q * q
     c1 = coset_closure([base + 1], n, base)
     if len(c1) != 1:
-        raise AssertionError(f"|coset of {base + 1}| = {len(c1)} != 1")
+        raise CrossCheckError(f"|coset of {base + 1}| = {len(c1)} != 1")
     Z = coset_closure([0, base + 1], n, base)
     for i in range(2, a + 1):
         ci = coset_closure([base + i], n, base)
         if len(ci) != 2:
-            raise AssertionError(f"|coset of {base + i}| = {len(ci)} != 2")
+            raise CrossCheckError(f"|coset of {base + i}| = {len(ci)} != 2")
         Z = Z.union(ci)
     if len(Z) != 2 * a:
-        raise AssertionError(f"|Z| = {len(Z)} != 2a = {2 * a}")
+        raise CrossCheckError(f"|Z| = {len(Z)} != 2a = {2 * a}")
     k_classical = n - len(Z)
     s = len(Z.intersection(hermitian_dual_defset(Z)))
     k, c = k_classical - s, n - k_classical - s
@@ -395,7 +395,7 @@ def bch_hermit(q: int, a: int) -> QuentaParams:
         warnings.append(f"stated (k, c) = {stated} differs from set arithmetic ({k}, {c})")
     run = bch_bound(Z)
     if run < a + 1:
-        raise AssertionError(f"consecutive-root bound {run} below designed {a + 1}")
+        raise CrossCheckError(f"consecutive-root bound {run} below designed {a + 1}")
     return _params(
         q, n, k, a + 1, LOWER_BOUND, c,
         family="bch-hermit", case="",

@@ -150,6 +150,10 @@ class ModulusError(ValueError):
     """A modulus that defines no field GF(p^m): not monic of degree m, or not primitive."""
 
 
+class CrossCheckError(RuntimeError):
+    """Two routes to one quantity disagree: a fault of quenta, not of its input."""
+
+
 class GF:
     """A finite field GF(p^m) with table-backed arithmetic on int elements."""
 
@@ -222,11 +226,11 @@ class GF:
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: (-a) % p
         else:
-            # Zech logarithms: a + b = a·(1 + b/a) with zech[d] = log(1 + alpha^d).
-            # Adding 1 changes only the constant digit.  alpha^half = -1, so
-            # zech[half] is log's zero sentinel.
+            # Zech logarithms: a + b = a·(1 + b/a) with zech[d] = log(1 + alpha^d),
+            # the list twice over.  Adding 1 changes only the constant digit.
+            # alpha^half = -1, so zech[half] is log's zero sentinel.
             half = q1 // 2
-            self._zech = zech = [log[e - e % p + (e + 1) % p] for e in exp[:q1]]
+            self._zech = zech = [log[e - e % p + (e + 1) % p] for e in exp[:q1]] * 2
 
             def add(a: int, b: int) -> int:
                 if not a:

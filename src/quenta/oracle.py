@@ -42,7 +42,7 @@ from .defset import (
     hermitian_dual_defset,
     intersection_dim,
 )
-from .gf import GF, ModulusError, field_from_order, splitting_field
+from .gf import GF, CrossCheckError, ModulusError, field_from_order, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
 RELATIVE_DISTANCE_CAP = 1 << 10
@@ -99,7 +99,7 @@ def _entanglement_rank(C1: LinearCode, G2: Matrix, H2: Matrix) -> int:
     # H1 and G2 are full row rank (LinearCode checked it): only the stack needs ranking
     identity = stacked_rank(C1, G2) - G2.nrows
     if r != identity:
-        raise AssertionError(f"rank {r} != dimension identity {identity}")
+        raise CrossCheckError(f"rank {r} != dimension identity {identity}")
     return r
 
 

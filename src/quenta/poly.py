@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .defset import coset_partition, cyclotomic_coset
-from .gf import GF, embedding
+from .gf import GF, CrossCheckError, embedding
 
 
 @dataclass(frozen=True)
@@ -151,5 +151,5 @@ def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
         )
     g = reduce(mul, (minimal_polynomial(i, n, base, ext) for i in leaders), one(base))
     if g.deg != len(idx):
-        raise AssertionError("degree of generator must equal |Z|")
+        raise CrossCheckError(f"degree of generator {g.deg} != |Z| = {len(idx)}")
     return g

@@ -69,7 +69,9 @@ MUTATIONS = (
              ("tests/test_code.py::test_int_enumerator_matches_reference_loop_per_field",)),
     Mutation("code.py imports numpy at the top again", "code.py",
              "from operator import lshift\n", "from operator import lshift\n\nimport numpy as np\n",
-             ("tests/test_cli.py::test_lane_field_runs_never_import_numpy",)),
+             ("tests/test_cli.py::test_lane_field_runs_never_import_numpy",
+              "tests/test_cli.py::"
+              "test_a_field_without_lane_rows_imports_no_numpy_and_prints_the_same_bytes")),
     Mutation("cyclic_code shifts each lane row up, not down", "code.py",
              "[x >> i * b for i in range(count)]", "[x << i * b for i in range(count)]",
              ("tests/test_code.py::test_cyclic_code_matrices_match_the_tuple_row_reference",
@@ -128,10 +130,20 @@ MUTATIONS = (
              'return [int.from_bytes(r, "big") for r in rows]',
              'return [int.from_bytes(r, "little") for r in rows]',
              ("tests/test_code.py::test_kernels_match_reference_loop",)),
-    Mutation("_array_matrix loses its zero-width guard", "code.py",
-             "    if not n:  # zero-width lane rows are all 0\n"
-             "        return _made(F, [0] * len(elements), 0)\n", "",
-             ("tests/test_code.py::test_kernels_match_reference_loop_on_zero_columns",)),
+    Mutation("_tuple_echelon keeps a normalized row's logs without reducing them mod q - 1",
+             "code.py", "(j, (log[x[j]] + shift) % q1)", "(j, log[x[j]] + shift)",
+             ("tests/test_code.py::test_rref_golden",
+              "tests/test_code.py::test_kernels_match_reference_loop")),
+    Mutation("_tuple_echelon drops a Zech step's term where the entry is 0", "code.py",
+             "if b else exp[t]", "if b else b",
+             ("tests/test_code.py::test_rref_golden",
+              "tests/test_code.py::test_kernels_match_reference_loop")),
+    Mutation("_product_rows reads a digit lane without reducing it mod p", "code.py",
+             "(s >> i * width & mask) % p * r", "(s >> i * width & mask) * r",
+             ("tests/test_code.py::test_kernels_match_reference_loop",)),
+    Mutation("_tuple_echelon reduces into kept itself, not a copy", "code.py",
+             "{} if kept is None else kept.copy()", "{} if kept is None else kept",
+             ("tests/test_code.py::test_kept_echelon_gives_the_dimension_identity",)),
     Mutation("li-lcd's branch 2 also takes v = 0", "constructions.py",
              "    if v < 0:", "    if v <= 0:",
              ("tests/test_constructions.py::test_lcd_family_odd_m_branches_match_the_search",)),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenta import cli, gf
+from quenta import cli, gf, oracle
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
 from quenta.oracle import FAMILIES, instances, verify_instance
@@ -495,13 +495,16 @@ def test_lane_field_runs_never_import_numpy():
     assert (run.stdout, run.stderr) == ("[0, 0, 0] False\n", "")
 
 
-def test_a_field_without_lane_rows_imports_numpy_and_prints_the_same_bytes():
-    # GF(27) ranks through numpy; the enumerator's d and relative weights of
-    # this construction print the bytes they printed under the numpy enumerator
+def test_a_field_without_lane_rows_imports_no_numpy_and_prints_the_same_bytes():
+    # GF(27) keeps tuple rows, ranked and multiplied through its log tables, and
+    # imports no numpy, in a construction or in sweeps over GF(27) and GF(121);
+    # the construction prints the bytes it printed when numpy ranked it
     argv = ["construct", "rs-mds", "--q", "27", "--n", "26", "--k", "2", "--b", "1", "--verify"]
-    run = subprocess.run([sys.executable, "-c", _IMPORTS_NUMPY, json.dumps([argv])],
+    sweeps = [["verify", "--family", "rs-mds", "--q", "27"],
+              ["verify", "--family", "hermitian", "--q", "11", "--n", "5"]]
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_NUMPY, json.dumps([argv, *sweeps])],
                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
-    assert (run.stdout, run.stderr) == ("[0] True\n", "")
+    assert (run.stdout, run.stderr) == ("[0, 0, 0] False\n", "")
     run = subprocess.run([sys.executable, "-m", "quenta.cli", *argv],
                          capture_output=True, env=_fresh_env(), timeout=120)
     assert (run.returncode, run.stderr) == (0, b"")
@@ -509,6 +512,18 @@ def test_a_field_without_lane_rows_imports_numpy_and_prints_the_same_bytes():
         "3960434da23e43847c68a87b3859b88dd9d07bed38d4b3738195ea1b34015e32")
     assert json.loads(run.stdout)["verification"]["notes"] == [
         "relative distances outside the dual intersections: 25, 25 (combined 25; claimed d = 25)"]
+
+
+def test_a_failed_cross_check_exits_3_with_one_error_line(capsys, monkeypatch):
+    # a stacked rank one too high breaks the dimension identity of the first
+    # instance: a fault of the program, neither a refusal (1) nor a refutation (2)
+    stacked_rank = oracle.stacked_rank
+    monkeypatch.setattr(oracle, "stacked_rank", lambda C, M: stacked_rank(C, M) + 1)
+    assert main(["verify", "--family", "euclid-pair", "--q", "2", "--n", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: cross-check failed: rank ")
 
 
 def test_no_check_in_the_package_is_an_assert_statement():

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -76,17 +77,35 @@ def test_matrix_validation():
 
 
 def test_rref_golden():
+    # the tuple-row echelon keeps each pivot's row scaled to a leading 1 and
+    # negated, as (column, log) pairs after the pivot; the third row reduces to
+    # 0, and the kernel is read off by back-substitution
     M = Matrix(F3, [(1, 2, 0), (0, 1, 2), (1, 0, 2)], 3)
-    R, pivots = code_module._rref(M)
-    assert (R.tolist(), pivots) == ([[1, 0, 2], [0, 1, 2], [0, 0, 0]], [0, 1])
-    assert rank(M) == 2
+    assert code_module._tuple_echelon(M) == {0: [(1, 0)], 1: [(2, 0)]}
+    assert rank(M) == 2 and kernel_basis(M).rows == ((1, 1, 1),)
+    # over GF(131), whose matrices keep tuple rows: (2, 4, 0) scales to
+    # (1, 2, 0), whose negated tail is -2 = 129
+    F131 = field_create(131, 1)
+    M = Matrix(F131, [(2, 4, 0), (0, 0, 5), (1, 2, 7)], 3)
+    assert code_module._tuple_echelon(M) == {0: [(1, F131._log[129])], 2: []}
+    assert rank(M) == 2 and kernel_basis(M).rows == ((129, 1, 0),)
+    # over GF(27), by Zech logarithms: clearing column 0 of the second row adds
+    # -1 = 2 = alpha^13 to its zero entry in column 1, which then leads it
+    F27 = field_create(3, 3)
+    M = Matrix(F27, [(1, 1, 0), (1, 0, 1)], 3)
+    assert code_module._tuple_echelon(M) == {0: [(1, 13)], 1: [(2, 0)]}
+    assert kernel_basis(M).rows == ((2, 1, 1),)
 
 
 def test_rref_identity_fixed_point():
-    I = Matrix(F7, [[int(i == j) for j in range(4)] for i in range(4)], 4)
-    assert code_module._rref(I)[0].tolist() == list(map(list, I.rows))
-    assert rank(I) == 4
-    assert rank(Matrix(F7, [(0,) * 5] * 3, 5)) == 0
+    for F in (F7, field_create(3, 3)):
+        I = Matrix(F, [[int(i == j) for j in range(4)] for i in range(4)], 4)
+        assert code_module._tuple_echelon(I) == {c: [] for c in range(4)}
+        assert rank(I) == 4 and kernel_basis(I).nrows == 0
+        Z = Matrix(F, [(0,) * 5] * 3, 5)
+        assert code_module._tuple_echelon(Z) == {}
+        assert rank(Z) == 0
+        assert kernel_basis(Z).rows == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
 
 
 def test_transpose_degenerate():
@@ -610,8 +629,8 @@ def test_distance_weighs_every_normalized_word_of_the_smaller_side(monkeypatch, 
     assert counted[0] == (4 ** 5 - 1) // 3 == 341
 
 
-# q -> lengths of its cyclic codes: the lane fields, and one numpy-engine
-# field, GF(27), whose codes with n - k < k and 27^k within the cap have n <= 7
+# q -> lengths of its cyclic codes: the lane fields, and one field without
+# lane rows, GF(27), whose codes with n - k < k and 27^k within the cap have n <= 7
 # (n = 5 is left out: its splitting field GF(3^12) takes seconds to build)
 _DUAL_LENGTHS = {2: (7, 9, 15), 3: (4, 8, 11, 13), 4: (5, 7, 9, 15), 5: (4, 6, 8, 12),
                  9: (4, 5, 8, 10), 27: (4, 7)}
@@ -699,12 +718,14 @@ def test_log_tables_multiply_with_zero(F):
 # one field per engine shape: bit rows (GF(2)); byte rows over characteristic
 # 2 (GF(4), GF(8), GF(16), GF(32), GF(256)), over the odd primes up to 7 in a
 # 4-bit digit lane, over the two-digit odd fields GF(9), GF(25), GF(49), and
-# over the primes 11 and 127; and numpy for the fields without a lane form
-# (GF(27), GF(131), GF(2^10), GF(3^6))
+# over the primes 11 and 127; and tuple rows for the fields without a lane
+# form, in characteristic 2 (GF(2^10)), over a prime (GF(131)) and over odd
+# extension fields (GF(27), GF(81), GF(121), GF(3^6))
 _KERNEL_FIELDS = (F2, F3, F4, F5, F7, F8, F9, field_create(11, 1), F16, field_create(5, 2),
                   field_create(3, 3), field_create(2, 5), field_create(7, 2),
                   field_create(127, 1), field_create(131, 1), field_create(2, 8),
-                  field_create(2, 10), field_create(3, 6))
+                  field_create(2, 10), field_create(3, 6), field_create(3, 4),
+                  field_create(11, 2))
 
 
 def test_lane_forms_of_the_fields_up_to_256():
@@ -816,8 +837,10 @@ def test_kernels_match_reference_loop_on_the_bch_hermit_stack():
 
 def test_kept_echelon_gives_the_dimension_identity():
     # the identity's rk[H1; G2] from the echelon of H1 kept by C1, against the
-    # rank of the whole stack: every ordered pair of two pair sweeps, the pair
-    # (C, C^q0) of every code of a Hermitian sweep, and the GF(9) stack
+    # rank of the whole stack: every ordered pair of three pair sweeps, the
+    # pair (C, C^q0) of every code of a Hermitian sweep and of every 64th code
+    # of another, and the GF(9) stack.  rs-mds over GF(27) and the codes over
+    # GF(121) keep tuple rows; every other field here has lane rows
     codes = {}
 
     def code(Z, q):
@@ -826,22 +849,28 @@ def test_kept_echelon_gives_the_dimension_identity():
         return codes[Z, q]
 
     pairs = [(code(p.defset_named("Z1"), q), code(p.defset_named("Z2"), q).G)
-             for q, n, family in ((2, 15, "euclid-pair"), (7, None, "rs-euclid"))
+             for q, n, family in ((2, 15, "euclid-pair"), (7, None, "rs-euclid"),
+                                  (27, None, "rs-mds"))
              for p in instances(family, q, n)]
-    pairs += [(C, frobenius_entrywise(C.G, 2))
-              for C in (code(p.defset_named("Z"), 4) for p in instances("hermitian-lcd", 2, 15))]
+    pairs += [(C, frobenius_entrywise(C.G, q0))
+              for q0, n, family, step in ((2, 15, "hermitian-lcd", 1), (11, 12, "hermitian", 64))
+              for C in (code(p.defset_named("Z"), q0 * q0)
+                        for p in instances(family, q0, n)[::step])]
     pairs.append(_bch_hermit_pair())
-    assert len(pairs) == 1024 + 330 + 64 + 1
+    assert len(pairs) == 1024 + 330 + 91 + 64 + 64 + 1
+    assert sum(C1.H.lanes is None for C1, _ in pairs) == 91 + 64
     for C1, G2 in pairs:
-        assert C1._H_echelon is not None  # every field here has lane rows
         assert code_module.stacked_rank(C1, G2) == rank(stack(C1.H, G2))
-    # two pairs against one code in turn leave its kept echelon as it was
-    C1 = code(defset(15, 2, {1, 2, 4, 8}), 2)
-    kept = dict(C1._H_echelon)
-    for Z2 in (defset(15, 2, {0}), defset(15, 2, {3, 6, 9, 12})):
-        G2 = code(Z2, 2).G
-        assert code_module.stacked_rank(C1, G2) == rank(stack(C1.H, G2))
-        assert C1._H_echelon == kept
+    # two pairs against one code in turn leave its kept echelon as it was, with
+    # lane rows and with tuple rows
+    for q, n, Z1, Z2s in ((2, 15, {1, 2, 4, 8}, ({0}, {3, 6, 9, 12})),
+                          (27, 26, {1, 2, 3}, ({0}, {4, 5}))):
+        C1 = code(defset(n, q, Z1), q)
+        kept = copy.deepcopy(C1._H_echelon)
+        for Z2 in Z2s:
+            G2 = code(defset(n, q, Z2), q).G
+            assert code_module.stacked_rank(C1, G2) == rank(stack(C1.H, G2))
+            assert C1._H_echelon == kept
 
 
 def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
@@ -869,7 +898,7 @@ def test_gf2_rank_and_entanglement_never_unpack(monkeypatch):
 
 def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):
     # every matrix over a field with a lane form stays in lane form: none reaches
-    # numpy's row reduction or product
+    # the tuple-row echelon or product
     reached = []
 
     def guarded(kernel):
@@ -879,7 +908,7 @@ def test_lane_fields_never_reach_the_row_kernels(monkeypatch, capsys):
             return kernel(M, *rest)
         return run
 
-    for kernel in (code_module._rref, code_module._product_numpy):
+    for kernel in (code_module._tuple_echelon, code_module._product_rows):
         monkeypatch.setattr(code_module, kernel.__name__, guarded(kernel))
     for argv in (["verify", "--family", "hermitian-lcd", "--q", "2", "--n", "15"],
                  ["verify", "--family", "hermitian", "--q", "4", "--n", "5"],

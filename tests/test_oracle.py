@@ -10,7 +10,7 @@ from quenta import code as code_module
 from quenta import oracle
 from quenta.code import Matrix, cyclic_code
 from quenta.defset import bch_bound, coset_closed_subsets, defset
-from quenta.gf import field_create, field_from_order, splitting_field
+from quenta.gf import CrossCheckError, field_create, field_from_order, splitting_field
 from quenta.oracle import (
     LOWER_OK,
     SKIPPED,
@@ -107,9 +107,9 @@ def test_rank_cross_check_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(oracle, "stacked_rank",
                         lambda C1, M: stacked_rank(C1, Matrix(M.field, [], M.ncols)))
     for C, q0 in codes:
-        with pytest.raises(AssertionError, match="dimension identity"):
+        with pytest.raises(CrossCheckError, match="dimension identity"):
             entanglement_rank_hermitian(C, q0)
-        with pytest.raises(AssertionError, match="dimension identity"):
+        with pytest.raises(CrossCheckError, match="dimension identity"):
             entanglement_rank_euclid(C, C)
 
 
