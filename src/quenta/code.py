@@ -45,9 +45,8 @@ class Matrix:
     b-bit lanes per row (see _Lanes), the first column in the most significant
     lane, and the tuple ``rows`` are derived from it when first read.  Over
     other fields ``rows`` are stored and ``lanes`` is None.  The constructor
-    validates and packs its input; the results of products, transposes,
-    stacks and kernels are built in the stored form, unchecked, by
-    ``_made``.
+    validates and packs its input; the results of products, transposes and
+    kernels are built in the stored form, unchecked, by ``_made``.
     """
 
     # _row_sums: the Four Russians tables GF(2) products keep of a right factor
@@ -421,21 +420,6 @@ def frobenius_entrywise(M: Matrix, q0: int) -> Matrix:
     return _made(F, (map(frob.__getitem__, r) for r in M.rows), M.ncols)
 
 
-def stack(A: Matrix, B: Matrix) -> Matrix:
-    if A.field != B.field or A.ncols != B.ncols:
-        raise ValueError("stack requires same field and column count")
-    return _made(A.field, A._stored + B._stored, A.ncols)
-
-
-def _pivot_columns(M: Matrix) -> list[int]:
-    """The columns of M outside the span of the columns before them: the
-    leading columns of its echelon form."""
-    if M.lanes is None:
-        return sorted(_tuple_echelon(M))
-    b = _lanes(M.field).b
-    return sorted(M.ncols - 1 - (top - 1) // b for top in _echelon(M))
-
-
 # ----------------------------------------------------------------------
 # linear codes
 # ----------------------------------------------------------------------
@@ -456,13 +440,10 @@ class LinearCode:
             raise ValueError("rank deficit: k + (n - k) != n")
         if not product(self.G, transpose(self.H)).is_zero():
             raise ValueError("G H^T != 0")
-        # G's pivots, an information set kept for light_basis, and H's echelon,
-        # kept for stacked_rank
-        info = _pivot_columns(self.G)
+        # H's echelon, kept for stacked_rank
         echelon = _echelon(self.H)
-        if len(info) != self.G.nrows or len(echelon) != self.H.nrows:
+        if rank(self.G) != self.G.nrows or len(echelon) != self.H.nrows:
             raise ValueError("G or H is not full row rank")
-        object.__setattr__(self, "_G_info", info)
         object.__setattr__(self, "_H_echelon", echelon)
 
     @property
@@ -476,7 +457,7 @@ class LinearCode:
         The rows of B of weight at most w span every codeword of weight at
         most w; weights[0] is the minimum distance.  Built once per code by
         one enumeration of its q^k words, which callers bound."""
-        return _light_basis(self.G, self._G_info)
+        return _light_basis(self.G)
 
     @cached_property
     def frobenius_images(self) -> tuple[Matrix, Matrix]:
@@ -774,23 +755,21 @@ def _min_weight(M: Matrix) -> int:
     return least
 
 
-def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
-    """LinearCode.light_basis of the code G generates; info is G's pivot columns.
+def _light_basis(G: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """LinearCode.light_basis of the code G generates.
 
     Every word is weighed, a block at a time.  Then words are taken lightest
     first, in message order within a weight, and each is reduced into an
-    echelon of the words kept before it, on the symbols of info, an
-    information set of G, where words are independent exactly when their
-    messages are.  The echelon holds, for each kept word's leading symbol
-    on info, the multiple of it that cancels each leading coefficient, so a
-    step is one add.  A word that does not reduce to zero on info is kept,
-    until k are kept.  A word not kept lies in the span of kept words no
-    heavier than it, so the words kept are a greedy basis of all the words
-    (Edmonds, "Matroids and the greedy algorithm", 1971)."""
+    echelon of the words kept before it.  G is injective, so words are
+    independent exactly when their messages are.  The echelon holds, for
+    each kept word's leading symbol, the multiple of it that cancels each
+    leading coefficient, so a step is one add.  A word that does not reduce
+    to zero is kept, until k are kept.  A word not kept lies in the span of
+    kept words no heavier than it, so the words kept are a greedy basis of
+    all the words (Edmonds, "Matroids and the greedy algorithm", 1971)."""
     F, n, k = G.field, G.ncols, G.nrows
     L = _words(F, n)
     nb, s, add = L.nbytes, L.s, L.add
-    on_info = sum(((1 << s) - 1) << L.shifts[t] for t in info)
     blocks = [(X.to_bytes(N * nb, "little"), L.weights(X, N)) for X, N in _word_blocks(G)]
 
     def lightest_first():
@@ -807,15 +786,15 @@ def _light_basis(G: Matrix, info: list[int]) -> tuple[Matrix, tuple[int, ...]]:
         if len(kept) == k:
             break
         y = x
-        while v := y & on_info:
-            t = (v.bit_length() - 1) // s
+        while y:
+            t = (y.bit_length() - 1) // s
             if t not in cancel:
                 mult = L.multiples(y)
-                cancel[t] = {(mult[a] & on_info) >> t * s: mult[F.neg(a)] for a in range(1, F.q)}
+                cancel[t] = {mult[a] >> t * s: mult[F.neg(a)] for a in range(1, F.q)}
                 kept.append(x)
                 kept_weights.append(w)
                 break
-            y = add(y, cancel[t][v >> t * s], 1)
+            y = add(y, cancel[t][y >> t * s], 1)
     return Matrix(F, [L.symbols(x, range(n)) for x in kept], n), tuple(kept_weights)
 
 

@@ -32,7 +32,7 @@ LOWER_BOUND = "lower_bound"
 
 
 class SingletonViolationError(RuntimeError):
-    """An exact distance exceeded the quantum Singleton bound: formula bug."""
+    """A claim with an exact distance above the quantum Singleton bound."""
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def rs_euclid_mds(q: int, n: int, k: int, b: int) -> QuentaParams:
     base = rs_euclid(q, n, k, b, k, b)
     kq = 2 * b - 1
     if (base.k, base.c) != (kq, c):
-        raise SingletonViolationError(
+        raise CrossCheckError(
             f"stated parameters ({kq}, {c}) disagree with set arithmetic ({base.k}, {base.c})"
         )
     return _params(
@@ -354,7 +354,7 @@ def rs_hermit(q: int, t: int, r: int) -> QuentaParams:
         kq = t * t - 1
         c = (q - t) ** 2 - 2 * r - 1
     if s_brute != s_closed:
-        raise SingletonViolationError(
+        raise CrossCheckError(
             f"index-set intersection {s_brute} disagrees with closed form {s_closed} "
             f"for (q, t, r) = ({q}, {t}, {r})"
         )

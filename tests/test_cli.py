@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenta import cli, gf, oracle
+from quenta import cli, constructions, gf, oracle
 from quenta.cli import CSV_COLUMNS, main, output_row
 from quenta.config import Config, load_config, parse_config
 from quenta.oracle import FAMILIES, instances, verify_instance
@@ -524,6 +525,51 @@ def test_a_failed_cross_check_exits_3_with_one_error_line(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("internal error: cross-check failed: rank ")
+
+
+def _one_more_logical_qudit(p):
+    return dataclasses.replace(p, k=p.k + 1, c=p.c - 1)
+
+
+@pytest.mark.parametrize("argv, route, broken", [
+    pytest.param(["construct", "rs-mds", "--q", "7", "--n", "6", "--k", "3", "--b", "2"],
+                 "rs_euclid", lambda real: lambda *a: _one_more_logical_qudit(real(*a)), id="rs-mds"),
+    pytest.param(["construct", "rs-hermit", "--q", "3", "--t", "1", "--r", "1"],
+                 "_rs_hermit_index_sets", lambda real: lambda *a: (real(*a)[0], frozenset()),
+                 id="rs-hermit"),
+])
+def test_a_construction_whose_two_routes_disagree_exits_3(capsys, monkeypatch, argv, route, broken):
+    # rs-mds checks its stated (k, c) against rs_euclid's set arithmetic, and
+    # rs-hermit its closed-form intersection against the index sets: a mismatch
+    # is a fault of the program, not a claim above the Singleton bound (1)
+    monkeypatch.setattr(constructions, route, broken(getattr(constructions, route)))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: cross-check failed: ")
+
+
+@pytest.mark.parametrize("q, digest", [
+    (2, "24e80342f84a38475e9df3e052d36d0ec15c6acfad261826aa57c0b239b884aa"),
+    (3, "f59970ff4f957d7470efb2a3320dc9364acf0ac38f0e94c481e007d29958c06b"),
+    (4, "b87e19613f76733ab55dc11fbe2e2a82a011d8f0542c3d63634e913a4cc68195"),
+    (5, "9988881a5cd9a9bcb52f0c436cb4352586b7cd07d201968c47c3fffacfba2ebf"),
+], ids=["q2", "q3", "q4", "q5"])
+def test_rs_hermit_sweep_reads_only_its_instances(capsys, monkeypatch, q, digest):
+    # the verifier takes both index sets and the intersection s from each
+    # instance: with the construction's route gone after the grid is built, the
+    # sweep prints the same bytes
+    built = oracle.instances("rs-hermit", q)
+
+    def gone(*_):
+        raise RuntimeError("the verifier called the construction's index sets")
+
+    monkeypatch.setattr(constructions, "_rs_hermit_index_sets", gone)
+    monkeypatch.setattr(oracle, "instances", lambda *_, **__: built)
+    code, out, _ = run(capsys, "verify", "--family", "rs-hermit", "--q", str(q))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_no_check_in_the_package_is_an_assert_statement():

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,68 @@ def test_partition_requires_coprime():
         coset_partition(8, 2)
     with pytest.raises(ValueError):
         cyclotomic_coset(1, 9, 3)
+
+
+def _orbit(i, n, q):
+    """The orbit of i under multiplication by q mod n, walked residue by residue."""
+    orbit, j = set(), i % n
+    while j not in orbit:
+        orbit.add(j)
+        j = j * q % n
+    return frozenset(orbit)
+
+
+def _a_closure(S, n, a):
+    """The least superset of S closed under multiplication by a mod n."""
+    S = set(S)
+    while not {a * i % n for i in S} <= S:
+        S |= {a * i % n for i in S}
+    return frozenset(S)
+
+
+_TABLE_CASES = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27) for n in range(1, 131)
+                if math.gcd(n, q) == 1]
+
+
+def test_the_coset_table_matches_a_brute_force_orbit_walk():
+    rng = random.Random(27)
+    for n, q in _TABLE_CASES:
+        orbit_of = [_orbit(i, n, q) for i in range(n)]
+        brute = sorted(set(orbit_of), key=min)
+        part = coset_partition(n, q)
+        assert [c.as_set() for c in part] == brute, (n, q)
+        assert sorted(i for c in part for i in c) == list(range(n))
+        for i in range(-n, 2 * n):
+            assert cyclotomic_coset(i, n, q).as_set() == orbit_of[i % n], (i, n, q)
+        for _ in range(4):
+            seeds = rng.sample(range(-n, 2 * n), rng.randint(0, min(6, 3 * n)))
+            expected = frozenset().union(*(orbit_of[i % n] for i in seeds))
+            assert coset_closure(seeds, n, q).as_set() == expected, (seeds, n, q)
+        for a in (1, -1):
+            # the unions of the a-orbits of the cosets, in the order of their masks
+            # over the cosets; all 2^r masks are built before the first set is
+            # yielded, so only r <= 8 orbits are run
+            orbits = {sum(1 << j for j, c in enumerate(brute) if c <= S)
+                      for S in {_a_closure(c0, n, a) for c0 in brute}}
+            if len(orbits) > 8:
+                continue
+            masks = sorted(sum(o for b, o in enumerate(orbits) if mask >> b & 1)
+                           for mask in range(1 << len(orbits)))
+            expected = [frozenset().union(*(c for j, c in enumerate(brute) if mask >> j & 1))
+                        for mask in masks]
+            got = [Z.as_set() for Z in coset_closed_subsets(n, q, a)]
+            assert got == expected, (n, q, a)
+
+
+def test_coset_queries_keep_their_refusals():
+    for query in (lambda: coset_partition(8, 2), lambda: cyclotomic_coset(1, 8, 2),
+                  lambda: coset_closure([1], 8, 2), lambda: list(coset_closed_subsets(8, 2))):
+        with pytest.raises(ValueError, match=r"^gcd\(n, q\) = 2 != 1 for n = 8, q = 2$"):
+            query()
+    for query in (lambda: cyclotomic_coset(1, -3, 2), lambda: coset_closure([1], -3, 2)):
+        with pytest.raises(ValueError, match=r"^modulus n = -3 must be positive$"):
+            query()
+    assert coset_partition(-3, 2) == ()
 
 
 def test_defset_normalizes():

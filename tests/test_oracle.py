@@ -367,7 +367,7 @@ def test_euclid_pair_sweep_builds_one_light_basis_per_code(monkeypatch):
     built = []
     real = code_module._light_basis
     monkeypatch.setattr(code_module, "_light_basis",
-                        lambda G, info: built.append(G) or real(G, info))
+                        lambda G: built.append(G) or real(G))
     oracle._measured_cyclic_code.cache_clear()
     oracle._relative_weight.cache_clear()
     reports = sweep("euclid-pair", 2, n=7)
@@ -377,7 +377,7 @@ def test_euclid_pair_sweep_builds_one_light_basis_per_code(monkeypatch):
 
 
 def test_euclid_pair_sweep_reduces_each_generator_once(monkeypatch):
-    # the light basis reads the pivot columns kept by the rank check of G
+    # G is reduced once, by its rank check: the light basis reduces words, not G
     codes, reduced = [], []
     echelon = code_module._echelon
 

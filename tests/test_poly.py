@@ -191,5 +191,8 @@ def test_generator_refusals_keep_their_text():
     with pytest.raises(ValueError, match=r"^root set \[1, 2\] is not closed under multiplication "
                                          r"by 2 mod 7: product has coefficients outside GF\(2\)$"):
         P.generator_from_defset({1, 9}, 7, F2, ext)
+    with pytest.raises(ValueError, match=r"^root set \[1, 2, 4\] is not closed under multiplication "
+                                         r"by 4 mod 15: product has coefficients outside GF\(4\)$"):
+        P.generator_from_defset({1, 4, 17}, 15, field_create(2, 2), splitting_field(4, 15))
     with pytest.raises(ValueError, match=r"^n = 5 does not divide 7 - 1$"):
         P.generator_from_defset(set(), 5, F2, field_create(7, 1))
