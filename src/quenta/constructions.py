@@ -2,9 +2,12 @@
 
 Each public function turns classical-code data (defining sets or a small
 parameter tuple) into quantum-code parameters [[n, k, d; c]]_q by
-defining-set arithmetic.  Set arithmetic is the ground truth throughout:
-closed-form shortcuts are evaluated alongside and any disagreement is
-surfaced as a warning on the returned parameters rather than trusted.
+defining-set arithmetic: `euclid_pair` (Theorem 1) and `hermitian_code` (its
+Hermitian form) count k and c, and `rs_euclid` for its windows of coset base
+n + 1; the other cyclic families hand their sets to the first two, the LCD
+families as the corollary C1 = C2 = C with an empty hull.  Set arithmetic is
+the ground truth throughout: closed-form shortcuts are evaluated alongside
+and any disagreement is surfaced as a warning rather than trusted.
 
 Distance kinds are tracked explicitly: consecutive-root families report
 exact n-k+1 distances, run-bound families report designed lower bounds.
@@ -12,7 +15,7 @@ exact n-k+1 distances, run-bound families report designed lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .defset import (
     DefiningSet,
@@ -21,8 +24,6 @@ from .defset import (
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
-    is_lcd_euclidean,
-    is_lcd_hermitian,
     rs_defset,
 )
 from .gf import CrossCheckError, prime_power
@@ -149,20 +150,16 @@ def euclid_pair(Z1: DefiningSet, Z2: DefiningSet, d1: int, d2: int,
 
 
 def euclid_lcd(Z: DefiningSet, d: int, d_kind: str = EXACT) -> QuentaParams:
-    """An LCD cyclic code gives a maximal-entanglement [[n, k, d; n-k]]."""
+    """An LCD cyclic code gives [[n, k, d; n-k]]: euclid_pair(Z, Z) with hull t = 0."""
     if not Z.is_coset_closed():
         raise ValueError(f"Z is not closed under multiplication by {Z.q} mod {Z.n}")
-    if not is_lcd_euclidean(Z):
-        hull = Z.n - len(Z.union(euclidean_dual_defset(Z)))
+    p = euclid_pair(Z, Z, d, d, d_kind, d_kind)
+    hull = p.input_named("t")
+    if hull:
         raise ValueError(f"Z is not Euclidean LCD: hull dimension {hull} != 0")
-    n, q = Z.n, Z.q
-    k = n - len(Z)
-    return _params(
-        q, n, k, d, d_kind, n - k,
-        family="euclid-lcd", case="",
-        inputs=(("n", n), ("q", q), ("Z", Z.elems), ("d", d)),
-        defsets=(("Z", Z),),
-    )
+    return replace(p, family="euclid-lcd",
+                   inputs=(("n", p.n), ("q", p.q), ("Z", Z.elems), ("d", d)),
+                   defsets=(("Z", Z),))
 
 
 def rs_euclid(q: int, n: int, k1: int, b1: int, k2: int, b2: int) -> QuentaParams:
@@ -260,10 +257,7 @@ def bch_euclid(q: int, a: int, b: int) -> QuentaParams:
     if len(Z2) != 2 * b - b // q:
         raise CrossCheckError(f"|union of cosets q-b..q-1| = {len(Z2)} != 2b - floor(b/q)")
     Z1 = euclidean_dual_defset(Z1_dual)
-    k1 = n - len(Z1)
-    k2 = n - len(Z2)
-    t = len(Z1_dual.intersection(Z2))
-    k, c = k1 - t, n - k2 - t
+    p = euclid_pair(Z1, Z2, b + 1, b + 1, LOWER_BOUND, LOWER_BOUND)
     warnings = []
     if a >= q - b:
         case = "a>=q-b"
@@ -271,15 +265,12 @@ def bch_euclid(q: int, a: int, b: int) -> QuentaParams:
     else:
         case = "a<q-b"
         stated = (2 * a + 1, 2 * b - b // q)
-    if (k, c) != stated:
-        warnings.append(f"stated (k, c) = {stated} differs from set arithmetic ({k}, {c})")
-    return _params(
-        q, n, k, b + 1, LOWER_BOUND, c,
-        family="bch-euclid", case=case,
-        inputs=(("q", q), ("a", a), ("b", b), ("t", t)),
-        warnings=warnings,
-        defsets=(("Z1", Z1), ("Z2", Z2), ("Z1_dual", Z1_dual)),
-    )
+    if (p.k, p.c) != stated:
+        warnings.append(f"stated (k, c) = {stated} differs from set arithmetic ({p.k}, {p.c})")
+    return replace(p, family="bch-euclid", case=case,
+                   inputs=(("q", q), ("a", a), ("b", b), ("t", p.input_named("t"))),
+                   warnings=(*warnings, *p.warnings),
+                   defsets=(("Z1", Z1), ("Z2", Z2), ("Z1_dual", Z1_dual)))
 
 
 # ----------------------------------------------------------------------
@@ -304,22 +295,12 @@ def hermitian_code(q: int, Z: DefiningSet, d: int, d_kind: str = EXACT) -> Quent
 
 
 def hermitian_lcd(q: int, Z: DefiningSet, d: int, d_kind: str = EXACT) -> QuentaParams:
-    """A Hermitian LCD cyclic code over GF(q^2) -> maximal [[n, k, d; n-k]]_q."""
-    if Z.q != q * q:
-        raise ValueError(f"Z has coset base {Z.q}, expected q^2 = {q * q}")
-    if not Z.is_coset_closed():
-        raise ValueError(f"Z is not closed under multiplication by {Z.q} mod {Z.n}")
-    if not is_lcd_hermitian(Z):
-        s = len(Z.intersection(hermitian_dual_defset(Z)))
+    """A Hermitian LCD cyclic code over GF(q^2) -> maximal [[n, k, d; n-k]]_q (s = 0)."""
+    p = hermitian_code(q, Z, d, d_kind)
+    s = p.input_named("s")
+    if s:
         raise ValueError(f"Z is not Hermitian LCD: hull dimension {s} != 0")
-    n = Z.n
-    k = n - len(Z)
-    return _params(
-        q, n, k, d, d_kind, n - k,
-        family="hermitian-lcd", case="",
-        inputs=(("q", q), ("n", n), ("Z", Z.elems), ("d", d)),
-        defsets=(("Z", Z),),
-    )
+    return replace(p, family="hermitian-lcd", inputs=p.inputs[:-1])
 
 
 def _rs_hermit_index_sets(q: int, t: int, r: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -386,23 +367,17 @@ def bch_hermit(q: int, a: int) -> QuentaParams:
         Z = Z.union(ci)
     if len(Z) != 2 * a:
         raise CrossCheckError(f"|Z| = {len(Z)} != 2a = {2 * a}")
-    k_classical = n - len(Z)
-    s = len(Z.intersection(hermitian_dual_defset(Z)))
-    k, c = k_classical - s, n - k_classical - s
-    warnings = []
-    stated = (n - 4 * (a - 1) - 3, 1)
-    if (k, c) != stated:
-        warnings.append(f"stated (k, c) = {stated} differs from set arithmetic ({k}, {c})")
     run = bch_bound(Z)
     if run < a + 1:
         raise CrossCheckError(f"consecutive-root bound {run} below designed {a + 1}")
-    return _params(
-        q, n, k, a + 1, LOWER_BOUND, c,
-        family="bch-hermit", case="",
-        inputs=(("q", q), ("a", a), ("s", s)),
-        warnings=warnings,
-        defsets=(("Z", Z),),
-    )
+    p = hermitian_code(q, Z, a + 1, LOWER_BOUND)
+    warnings = []
+    stated = (n - 4 * (a - 1) - 3, 1)
+    if (p.k, p.c) != stated:
+        warnings.append(f"stated (k, c) = {stated} differs from set arithmetic ({p.k}, {p.c})")
+    return replace(p, family="bch-hermit",
+                   inputs=(("q", q), ("a", a), ("s", p.input_named("s"))),
+                   warnings=(*warnings, *p.warnings))
 
 
 # ----------------------------------------------------------------------

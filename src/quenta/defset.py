@@ -1,7 +1,7 @@
 """Combinatorial calculus on subsets of Z_n.
 
-Cyclotomic cosets, dual defining sets, intersection dimensions, BCH bounds
-and LCD predicates — all pure set arithmetic, no field elements involved.
+Cyclotomic cosets, dual defining sets, intersection dimensions and BCH
+bounds — all pure set arithmetic, no field elements involved.
 A DefiningSet carries its modulus n and the coset base q; residues are
 always reduced to [0, n) on construction.
 """
@@ -112,19 +112,22 @@ def coset_partition(n: int, q: int) -> tuple[DefiningSet, ...]:
 def coset_closed_subsets(n: int, q: int, a: int = 1):
     """The coset-closed subsets Z of Z_n under q with aZ = Z, for a prime to n:
     the unions of the orbits of the cosets under multiplication by a (every
-    subset for a = 1), in the order of their masks over the cosets."""
+    subset for a = 1), in the order of their masks over the cosets, walked lazily:
+    with the orbits sorted by highest coset, the t-th union holds those at t's bits."""
     cosets, index = _coset_table(n, q)
-    masks, seen = [0], 0
+    orbits, seen = [], 0
     for j in range(len(cosets)):
-        orbit, k = 0, j
+        orbit, elems, k = 0, [], j
         while not (seen | orbit) >> k & 1:
             orbit |= 1 << k
+            elems += cosets[k].elems
             k = index[a * cosets[k].elems[0] % n]
         seen |= orbit
         if orbit:
-            masks += [m | orbit for m in masks]
-    for mask in sorted(masks):
-        yield defset(n, q, (i for j, cs in enumerate(cosets) if mask >> j & 1 for i in cs.elems))
+            orbits.append((orbit, elems))
+    orbits.sort(key=lambda o: o[0].bit_length())
+    for t in range(1 << len(orbits)):
+        yield defset(n, q, chain.from_iterable(e for b, (_, e) in enumerate(orbits) if t >> b & 1))
 
 
 @lru_cache(maxsize=None)
@@ -150,35 +153,13 @@ def intersection_dim(Z1: DefiningSet, Z2: DefiningSet) -> int:
 
 
 def bch_bound(Z: DefiningSet) -> int:
-    """1 + length of the longest run of cyclically consecutive elements."""
-    if not Z.elems:
-        return 1
-    n = Z.n
-    present = [False] * n
+    """1 + length of the longest run of cyclically consecutive elements, n + 1
+    for Z = Z_n: the longest piece between absent residues of Z's indicator
+    row taken twice round, so that runs through n - 1 -> 0 are whole."""
+    present = bytearray(Z.n)
     for i in Z.elems:
-        present[i] = True
-    if all(present):
-        return n + 1
-    best = 0
-    for start in range(n):
-        if present[start] and not present[(start - 1) % n]:
-            length = 0
-            j = start
-            while present[j]:
-                length += 1
-                j = (j + 1) % n
-            best = max(best, length)
-    return 1 + best
-
-
-def is_lcd_euclidean(Z: DefiningSet) -> bool:
-    """True iff dim(C ∩ C^dual) = n - |Z ∪ Z(C^dual)| is zero."""
-    return intersection_dim(Z, euclidean_dual_defset(Z)) == 0
-
-
-def is_lcd_hermitian(Z: DefiningSet) -> bool:
-    """True iff the Hermitian hull n - |Z ∪ Z(C^perp_h)| is zero."""
-    return intersection_dim(Z, hermitian_dual_defset(Z)) == 0
+        present[i] = 1
+    return 1 + min(max(map(len, (present * 2).split(b"\0"))), Z.n)
 
 
 def rs_defset(n: int, k: int, b: int) -> DefiningSet:

@@ -354,12 +354,12 @@ def _rs_length(q: int, n: int | None) -> int:
     return q - 1 if n is None else n
 
 
-def _subsets(n: int | None, base: int, a: int = 1) -> list[DefiningSet]:
-    """The coset-closed subsets Z under base with aZ = Z: the LCD sets are those
-    with -Z = Z (Euclidean) or -qZ = Z (Hermitian), Yang & Massey 1994."""
+def _subsets(n: int | None, base: int, a: int = 1) -> Iterable[DefiningSet]:
+    """The coset-closed subsets Z under base with aZ = Z, walked lazily: the LCD
+    sets are those with -Z = Z (Euclidean) or -qZ = Z (Hermitian), Yang & Massey 1994."""
     if n is None:
         raise ValueError("family needs n")
-    return list(coset_closed_subsets(n, base, a))
+    return coset_closed_subsets(n, base, a)
 
 
 def _euclid_pair_grid(q, n, **_):

@@ -11,7 +11,13 @@ from quenta.code import (
     kernel_basis,
     rank,
 )
-from quenta.defset import DefiningSet, defset
+from quenta.defset import (
+    DefiningSet,
+    defset,
+    euclidean_dual_defset,
+    hermitian_dual_defset,
+    intersection_dim,
+)
 from quenta.gf import GF, embedding
 from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n_minus_one, zero
 
@@ -78,6 +84,16 @@ def hull_dim(C: LinearCode) -> int:
 def hermitian_hull_dim(C: LinearCode, q0: int) -> int:
     """dim(C ∩ C^perp_h) over GF(q0^2)."""
     return intersection_dim_matrices(C.G, hermitian_dual_code(C, q0).G)
+
+
+def is_lcd_euclidean(Z: DefiningSet) -> bool:
+    """True iff dim(C ∩ C^dual) = n - |Z ∪ Z(C^dual)| is zero."""
+    return intersection_dim(Z, euclidean_dual_defset(Z)) == 0
+
+
+def is_lcd_hermitian(Z: DefiningSet) -> bool:
+    """True iff the Hermitian hull n - |Z ∪ Z(C^perp_h)| is zero."""
+    return intersection_dim(Z, hermitian_dual_defset(Z)) == 0
 
 
 def defining_set_of(C: LinearCode, ext: GF) -> DefiningSet:

@@ -158,6 +158,29 @@ MUTATIONS = (
     Mutation("_tuple_echelon reduces into kept itself, not a copy", "code.py",
              "{} if kept is None else kept.copy()", "{} if kept is None else kept",
              ("tests/test_code.py::test_kept_echelon_gives_the_dimension_identity",)),
+    Mutation("euclid_lcd drops its hull refusal", "constructions.py",
+             "    if hull:\n", "    if False:\n",
+             ("tests/test_constructions.py::test_lcd_refusals_keep_their_texts",
+              "tests/test_constructions.py::test_euclid_lcd_refuses_nonzero_hull")),
+    Mutation("hermitian_lcd keeps hermitian_code's s echo", "constructions.py",
+             "inputs=p.inputs[:-1]", "inputs=p.inputs",
+             ("tests/test_constructions.py::test_hermitian_lcd_grid_is_hermitian_code_relabelled",)),
+    Mutation("bch_euclid hands euclid_pair Z1_dual instead of its dual", "constructions.py",
+             "p = euclid_pair(Z1, Z2,", "p = euclid_pair(Z1_dual, Z2,",
+             ("tests/test_constructions.py::test_bch_euclid_is_euclid_pair_on_its_own_defsets",
+              "tests/test_constructions.py::test_bch_euclid_goldens")),
+    Mutation("bch_hermit hands hermitian_code the designed distance a, not a + 1",
+             "constructions.py",
+             "hermitian_code(q, Z, a + 1, LOWER_BOUND)", "hermitian_code(q, Z, a, LOWER_BOUND)",
+             ("tests/test_constructions.py::test_bch_hermit_a2",)),
+    Mutation("the subset walk sorts the orbits by their lowest coset", "defset.py",
+             "key=lambda o: o[0].bit_length()", "key=lambda o: o[0] & -o[0]",
+             ("tests/test_defset.py::test_the_coset_table_matches_a_brute_force_orbit_walk",
+              "tests/test_defset.py::test_closed_subsets_are_walked_lazily")),
+    Mutation("bch_bound scans once round, not twice", "defset.py",
+             "(present * 2).split", "present.split",
+             ("tests/test_defset.py::test_bch_bound_matches_a_run_length_reference",
+              "tests/test_defset.py::test_bch_bound")),
     Mutation("li-lcd's branch 2 also takes v = 0", "constructions.py",
              "    if v < 0:", "    if v <= 0:",
              ("tests/test_constructions.py::test_lcd_family_odd_m_branches_match_the_search",)),

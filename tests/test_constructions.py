@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from quenta.constructions import (
@@ -19,6 +21,8 @@ from quenta.constructions import (
     _rs_hermit_index_sets,
 )
 from quenta.defset import bch_bound, defset, rs_defset
+from quenta.gf import prime_power
+from quenta.oracle import instances
 
 from helpers import li_lcd_branch_by_search
 
@@ -83,6 +87,57 @@ def test_euclid_lcd_mds_in_mds_out():
     assert (p.n, p.k, p.d, p.c) == (6, 3, 4, 3)
     assert p.maximal_entanglement
     assert singleton(p).classification == "MDS"
+
+
+def _same_claim(p, parent):
+    return ((p.n, p.k, p.d, p.d_kind, p.c, p.maximal_entanglement, p.warnings)
+            == (parent.n, parent.k, parent.d, parent.d_kind, parent.c,
+                parent.maximal_entanglement, parent.warnings))
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (2, 15), (2, 31), (2, 63), (3, 13)])
+def test_euclid_lcd_grid_is_euclid_pair_relabelled(q, n):
+    grid = instances("euclid-lcd", q, n=n)
+    assert grid
+    for p in grid:
+        Z = p.defset_named("Z")
+        parent = euclid_pair(Z, Z, p.d, p.d, p.d_kind, p.d_kind)
+        assert parent.input_named("t") == 0
+        assert _same_claim(p, parent)
+        assert p.defsets == (("Z", Z),) and parent.defsets == (("Z1", Z), ("Z2", Z))
+        assert (p.family, p.case) == ("euclid-lcd", "")
+        assert p.inputs == (("n", n), ("q", q), ("Z", Z.elems), ("d", p.d))
+
+
+@pytest.mark.parametrize("q, n", [(2, 5), (2, 15), (3, 10)])
+def test_hermitian_lcd_grid_is_hermitian_code_relabelled(q, n):
+    grid = instances("hermitian-lcd", q, n=n)
+    assert grid
+    for p in grid:
+        Z = p.defset_named("Z")
+        parent = hermitian_code(q, Z, p.d, p.d_kind)
+        assert parent.input_named("s") == 0
+        assert _same_claim(p, parent)
+        assert p.defsets == parent.defsets == (("Z", Z),)
+        assert (p.family, p.case) == ("hermitian-lcd", "")
+        assert p.inputs == (("q", q), ("n", n), ("Z", Z.elems), ("d", p.d))
+
+
+def test_lcd_refusals_keep_their_texts():
+    def refused(text, build):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            build()
+
+    refused("Z is not closed under multiplication by 2 mod 7",
+            lambda: euclid_lcd(defset(7, 2, {1}), 2))
+    refused("Z is not Euclidean LCD: hull dimension 3 != 0",
+            lambda: euclid_lcd(defset(7, 2, {1, 2, 4}), 3))
+    refused("Z is not closed under multiplication by 4 mod 15",
+            lambda: hermitian_lcd(2, defset(15, 4, {1}), 2))
+    refused("Z has coset base 2, expected q^2 = 4",
+            lambda: hermitian_lcd(2, defset(3, 2, {1}), 2))
+    refused("Z is not Hermitian LCD: hull dimension 2 != 0",
+            lambda: hermitian_lcd(2, defset(5, 4, {1, 4}), 2))
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +290,22 @@ def test_bch_euclid_stated_formulas_hold():
                 assert not any("stated" in w for w in p.warnings)
                 assert p.case == ("a>=q-b" if a >= q - b else "a<q-b")
                 assert p.d == b + 1
+
+
+def test_bch_euclid_is_euclid_pair_on_its_own_defsets():
+    for q in range(3, 10):
+        if prime_power(q) is None:
+            continue
+        for a in range(q):
+            for b in range(1, q + 1):
+                if a >= q - b and b == q:
+                    continue
+                p = bch_euclid(q, a, b)
+                parent = euclid_pair(p.defset_named("Z1"), p.defset_named("Z2"),
+                                     b + 1, b + 1, LOWER_BOUND, LOWER_BOUND)
+                assert (p.k, p.c, p.d, p.d_kind) == (parent.k, parent.c, parent.d, parent.d_kind)
+                assert p.input_named("t") == parent.input_named("t")
+                assert p.warnings[len(p.warnings) - len(parent.warnings):] == parent.warnings
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,10 @@ from quenta.defset import (
     euclidean_dual_defset,
     hermitian_dual_defset,
     intersection_dim,
-    is_lcd_euclidean,
-    is_lcd_hermitian,
     rs_defset,
 )
+
+from helpers import is_lcd_euclidean, is_lcd_hermitian
 
 
 def test_cyclotomic_cosets_golden():
@@ -87,18 +89,43 @@ def test_the_coset_table_matches_a_brute_force_orbit_walk():
             assert coset_closure(seeds, n, q).as_set() == expected, (seeds, n, q)
         for a in (1, -1):
             # the unions of the a-orbits of the cosets, in the order of their masks
-            # over the cosets; all 2^r masks are built before the first set is
-            # yielded, so only r <= 8 orbits are run
+            # over the cosets: every union for r <= 8 orbits, and past that the
+            # first 256 of all 2^r unions, sorted, for r <= 16
             orbits = {sum(1 << j for j, c in enumerate(brute) if c <= S)
                       for S in {_a_closure(c0, n, a) for c0 in brute}}
-            if len(orbits) > 8:
+            if len(orbits) > 16:
                 continue
-            masks = sorted(sum(o for b, o in enumerate(orbits) if mask >> b & 1)
-                           for mask in range(1 << len(orbits)))
+            masks = [0]
+            for o in orbits:
+                masks += [m | o for m in masks]
+            masks = sorted(masks)[:256]
             expected = [frozenset().union(*(c for j, c in enumerate(brute) if mask >> j & 1))
                         for mask in masks]
-            got = [Z.as_set() for Z in coset_closed_subsets(n, q, a)]
+            got = [Z.as_set() for Z in islice(coset_closed_subsets(n, q, a), len(masks))]
             assert got == expected, (n, q, a)
+
+
+@pytest.mark.parametrize("a", [1, -1])
+def test_closed_subsets_are_walked_lazily(a):
+    # n = 124 under 5 has 44 cosets, 23 orbits under -1: listing every union
+    # first would take 2^44 or 2^23 masks
+    n, q = 124, 5
+    part = coset_partition(n, q)
+    assert len(part) == 44
+    tracemalloc.start()
+    try:
+        first = list(islice(coset_closed_subsets(n, q, a), 33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+    masks = [sum(1 << j for j, c in enumerate(part) if c.as_set() <= Z.as_set()) for Z in first]
+    assert masks == sorted(set(masks)) and masks[0] == 0
+    for Z in first:
+        assert Z.is_coset_closed() and {a * i % n for i in Z} == Z.as_set()
+        assert Z.as_set() == frozenset().union(*(c.as_set() for c in part if c.as_set() <= Z.as_set()))
+    if a == 1:
+        assert masks == list(range(33))
 
 
 def test_coset_queries_keep_their_refusals():
@@ -195,6 +222,31 @@ def test_bch_bound():
     # wraparound run: {6, 0, 1} is three consecutive residues mod 7
     assert bch_bound(defset(7, 2, {0, 1, 6})) == 4
     assert bch_bound(defset(15, 2, {1, 2, 3, 4})) == 5
+
+
+def _longest_run(Z):
+    """1 + the longest run of residues i, i + 1, ... mod n in Z, tried from every
+    start; n + 1 for Z = Z_n."""
+    S = Z.as_set()
+    best = 0
+    for start in range(Z.n):
+        length = 0
+        while length < Z.n and (start + length) % Z.n in S:
+            length += 1
+        best = max(best, length)
+    return 1 + best
+
+
+def test_bch_bound_matches_a_run_length_reference():
+    rng = random.Random(28)
+    # the first three have their longest run across n - 1 -> 0; then Z_1 and the empty set
+    wrapped = [defset(7, 2, {5, 6, 0, 1}), defset(10, 3, {9, 0, 3, 4}),
+               defset(12, 5, {11, 0, 1, 2, 5, 6, 7}), defset(1, 2, {0}), defset(1, 2, set())]
+    assert [bch_bound(Z) for Z in wrapped] == [5, 3, 5, 2, 1]
+    cases = wrapped + [defset(n, 2, (i for i in range(n) if rng.random() < p))
+                       for n in range(1, 70) for p in (0.3, 0.7, 0.95) for _ in range(8)]
+    for Z in cases:
+        assert bch_bound(Z) == _longest_run(Z), Z
 
 
 def test_lcd_predicates():

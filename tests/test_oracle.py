@@ -408,7 +408,7 @@ def test_pair_grid_of_256_codes_weighs_each_ordered_pair_once(monkeypatch):
     monkeypatch.setattr(oracle, "_measured_cyclic_code", lambda Z, *_: (SimpleNamespace(G=Z), None))
     monkeypatch.setattr(oracle, "relative_min_weight", lambda C, M: calls.append(C) or 0)
     base, ext = field_create(5, 1), splitting_field(5, 12)
-    codes = oracle._subsets(12, 5)
+    codes = list(oracle._subsets(12, 5))
     oracle._relative_weight.cache_clear()
     try:
         for Z1 in codes:
