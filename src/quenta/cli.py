@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import nullcontext
 from functools import cache
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
@@ -142,23 +143,15 @@ def _write_json(value, out) -> None:
         out.write(_json(value) + "\n")
 
 
-def _write(rows: list[dict], fmt: str, out, single: bool) -> None:
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(_csv_row(row))
-    else:
-        _write_json(rows[0] if single else rows, out)
-
-
 def _emit(rows: list[dict], fmt: str, out_path: str | None, single: bool = False) -> None:
     """Stream already formed rows to ``out_path`` or stdout; ``single`` writes JSON rows[0] bare."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write(rows, fmt, fh, single)
-    else:
-        _write(rows, fmt, sys.stdout, single)
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as out:
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(map(_csv_row, rows))
+        else:
+            _write_json(rows[0] if single else rows, out)
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +238,14 @@ def cmd_verify(args, cfg) -> int:
 # argument wiring
 # ----------------------------------------------------------------------
 
+def _residues(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated defining-set flag; empty tokens are skipped."""
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _add_format(p) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -274,7 +275,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build one parameter set")
     p.add_argument("family", choices=tuple(FAMILIES))
     for flag in dict.fromkeys(chain.from_iterable(f.required for f in FAMILIES.values())):
-        p.add_argument(f"--{flag}", type=str if flag.startswith("z") else int)
+        p.add_argument(f"--{flag}", type=_residues if flag.startswith("z") else int)
     for flag in ("d-kind", "d1-kind", "d2-kind"):
         p.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
                        choices=(EXACT, LOWER_BOUND), default=EXACT)

@@ -1,7 +1,7 @@
 """Combinatorial calculus on subsets of Z_n.
 
-Cyclotomic cosets, dual defining sets, intersection dimensions and BCH
-bounds — all pure set arithmetic, no field elements involved.
+Cyclotomic cosets, dual defining sets and BCH bounds — all pure set
+arithmetic, no field elements involved.
 A DefiningSet carries its modulus n and the coset base q; residues are
 always reduced to [0, n) on construction.
 """
@@ -16,7 +16,7 @@ from itertools import chain
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A subset of Z_n with a coset base q, stored sorted for canonical equality."""
+    """A subset of Z_n with a coset base q, stored reduced mod n, deduplicated and sorted."""
 
     n: int
     q: int
@@ -25,10 +25,7 @@ class DefiningSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"modulus n = {self.n} must be positive")
-        if self.elems and not 0 <= min(self.elems) <= max(self.elems) < self.n:
-            raise ValueError(f"elements outside [0, {self.n})")
-        if tuple(sorted(set(self.elems))) != self.elems:
-            raise ValueError("elements must be sorted and duplicate-free")
+        object.__setattr__(self, "elems", tuple(sorted({e % self.n for e in self.elems})))
         # defining sets key the code and distance memos: hash once, as GF does
         object.__setattr__(self, "_hash", hash((self.n, self.q, self.elems)))
 
@@ -69,8 +66,8 @@ def _is_coset_closed(Z: DefiningSet) -> bool:
 
 
 def defset(n: int, q: int, elems) -> DefiningSet:
-    """Normalized DefiningSet: residues reduced mod n, deduplicated, sorted."""
-    return DefiningSet(n, q, tuple(sorted({e % n for e in elems})))
+    """The DefiningSet of elems in Z_n under base q."""
+    return DefiningSet(n, q, elems)
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +141,6 @@ def hermitian_dual_defset(Z: DefiningSet) -> DefiningSet:
         raise ValueError(f"coset base {Z.q} is not a square; Hermitian duality needs GF(q^2)")
     scaled_neg = {(-q0 * i) % Z.n for i in Z.elems}
     return defset(Z.n, Z.q, set(range(Z.n)) - scaled_neg)
-
-
-def intersection_dim(Z1: DefiningSet, Z2: DefiningSet) -> int:
-    """dim(C1 ∩ C2) = n - |Z1 ∪ Z2|."""
-    Z1._check_compatible(Z2)
-    return Z1.n - len(Z1.as_set() | Z2.as_set())
 
 
 def bch_bound(Z: DefiningSet) -> int:

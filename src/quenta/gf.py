@@ -386,8 +386,6 @@ def splitting_field(q: int, n: int) -> GF:
     while acc != 1 % n:
         acc = (acc * q) % n
         s += 1
-        if s > 64:
-            raise ValueError("no multiplicative order found")
     return field_create(base.p, base.m * s)
 
 

@@ -33,15 +33,7 @@ from .code import (
     transpose,
 )
 from .constructions import EXACT, LOWER_BOUND, QuentaParams, combine_min
-from .defset import (
-    DefiningSet,
-    bch_bound,
-    coset_closed_subsets,
-    defset,
-    euclidean_dual_defset,
-    hermitian_dual_defset,
-    intersection_dim,
-)
+from .defset import DefiningSet, bch_bound, coset_closed_subsets, defset
 from .gf import GF, CrossCheckError, ModulusError, field_from_order, splitting_field
 
 DEFAULT_MATRIX_CAP = 100
@@ -239,7 +231,8 @@ def _rank_rows(p: QuentaParams, pred_int: int, lcd: bool, C1: LinearCode, k2: in
                c_rank: int, d) -> list[ReportRow]:
     """The k, c, intersection, hull (LCD only) and d rows of the pair (C1, C2), k2 = dim C2.
 
-    The entanglement rank asserted c = dim C1-dual - the intersection (the hull if LCD)."""
+    The entanglement rank asserted c = dim C1-dual - the intersection (the hull if LCD);
+    pred_int reads the claim the same way, as |Z1| - c, since dim C1-dual = |Z1|."""
     inter = C1.H.nrows - c_rank
     rows = [
         _exact_row("k", p.k, C1.k + k2 - p.n + c_rank),
@@ -261,7 +254,7 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
     else:
         Z1, Z2 = p.defset_named("Z1"), p.defset_named("Z2")
     n, q = p.n, p.q
-    pred_int = intersection_dim(euclidean_dual_defset(Z1), Z2)
+    pred_int = len(Z1) - p.c
     if Z1.q != q:
         return _skip_rank_rows(p, pred_int, lcd,
                                f"formula mode (n = {n} != q - 1): not materialized")
@@ -295,7 +288,7 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
     """Single-code verifier over GF(q^2), as the pair (C, C^q); ``lcd`` adds the hull row."""
     Z = p.defset_named("Z")
     q0 = p.q
-    pred_int = len(Z.intersection(hermitian_dual_defset(Z)))
+    pred_int = len(Z) - p.c
     made, reason = _materialize_base(q0 * q0, p.n, matrix_cap)
     if made is None:
         return _skip_rank_rows(p, pred_int, lcd, reason)
@@ -345,10 +338,6 @@ def _verify_closed_form(p: QuentaParams, *_caps) -> VerificationReport:
 # ----------------------------------------------------------------------
 # the family registry and its sweeps
 # ----------------------------------------------------------------------
-
-def _defset_flag(n: int, base: int, text: str) -> DefiningSet:
-    return defset(n, base, [int(tok) for tok in text.split(",") if tok.strip() != ""])
-
 
 def _rs_length(q: int, n: int | None) -> int:
     return q - 1 if n is None else n
@@ -443,10 +432,10 @@ class Family:
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("euclid-pair", ("n", "q", "z1", "z2", "d1", "d2"), _euclid_pair_grid, _verify_euclid,
-           lambda a: cons.euclid_pair(_defset_flag(a.n, a.q, a.z1), _defset_flag(a.n, a.q, a.z2),
+           lambda a: cons.euclid_pair(defset(a.n, a.q, a.z1), defset(a.n, a.q, a.z2),
                                       a.d1, a.d2, a.d1_kind, a.d2_kind)),
     Family("euclid-lcd", ("n", "q", "z", "d"), _euclid_lcd_grid, partial(_verify_euclid, lcd=True),
-           lambda a: cons.euclid_lcd(_defset_flag(a.n, a.q, a.z), a.d, a.d_kind)),
+           lambda a: cons.euclid_lcd(defset(a.n, a.q, a.z), a.d, a.d_kind)),
     Family("rs-euclid", ("q", "k1", "b1", "k2", "b2"), _rs_euclid_grid, _verify_euclid,
            lambda a: cons.rs_euclid(a.q, _rs_length(a.q, a.n), a.k1, a.b1, a.k2, a.b2)),
     Family("rs-mds", ("q", "k", "b"), _rs_mds_grid, _verify_euclid,
@@ -454,10 +443,10 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("bch-euclid", ("q", "a", "b"), _bch_euclid_grid, _verify_euclid,
            lambda a: cons.bch_euclid(a.q, a.a, a.b)),
     Family("hermitian", ("q", "n", "z", "d"), _hermitian_grid, _verify_hermitian,
-           lambda a: cons.hermitian_code(a.q, _defset_flag(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
+           lambda a: cons.hermitian_code(a.q, defset(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
     Family("hermitian-lcd", ("q", "n", "z", "d"), _hermitian_lcd_grid,
            partial(_verify_hermitian, lcd=True),
-           lambda a: cons.hermitian_lcd(a.q, _defset_flag(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
+           lambda a: cons.hermitian_lcd(a.q, defset(a.n, a.q * a.q, a.z), a.d, a.d_kind)),
     Family("rs-hermit", ("q", "t", "r"), _rs_hermit_grid, _verify_rs_hermit,
            lambda a: cons.rs_hermit(a.q, a.t, a.r)),
     Family("bch-hermit", ("q", "a"), _bch_hermit_grid, _verify_hermitian,

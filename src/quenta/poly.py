@@ -109,7 +109,7 @@ def _root_product(indices, n: int, base: GF, ext: GF) -> Poly:
     indices must be closed under multiplication by |base| mod n."""
     beta = ext.nth_root_of_unity(n)
     prod = one(ext)
-    for i in sorted(indices):
+    for i in indices:
         root = ext.pow(beta, i)
         prod = mul(prod, Poly(ext, (ext.neg(root), 1)))
     emb = embedding(base, ext)

@@ -11,13 +11,7 @@ from quenta.code import (
     kernel_basis,
     rank,
 )
-from quenta.defset import (
-    DefiningSet,
-    defset,
-    euclidean_dual_defset,
-    hermitian_dual_defset,
-    intersection_dim,
-)
+from quenta.defset import DefiningSet, defset, euclidean_dual_defset, hermitian_dual_defset
 from quenta.gf import GF, embedding
 from quenta.poly import Poly, _check_same_field, divmod_poly, mul, poly, x_pow_n_minus_one, zero
 
@@ -84,6 +78,12 @@ def hull_dim(C: LinearCode) -> int:
 def hermitian_hull_dim(C: LinearCode, q0: int) -> int:
     """dim(C ∩ C^perp_h) over GF(q0^2)."""
     return intersection_dim_matrices(C.G, hermitian_dual_code(C, q0).G)
+
+
+def intersection_dim(Z1: DefiningSet, Z2: DefiningSet) -> int:
+    """dim(C1 ∩ C2) = n - |Z1 ∪ Z2| for the cyclic codes of Z1 and Z2."""
+    Z1._check_compatible(Z2)
+    return Z1.n - len(Z1.as_set() | Z2.as_set())
 
 
 def is_lcd_euclidean(Z: DefiningSet) -> bool:

@@ -190,6 +190,23 @@ MUTATIONS = (
              ("tests/test_transcripts.py::test_base_field_memo_does_not_outlive_an_override",
               "tests/test_gf.py::"
               "test_modulus_overrides_replace_the_registry_and_rebuild_fields_only_on_change")),
+    Mutation("the Euclidean intersection is predicted from Z2, not Z1", "oracle.py",
+             "pred_int = len(Z1) - p.c", "pred_int = len(Z2) - p.c",
+             ("tests/test_oracle.py::test_predicted_intersection_matches_the_defining_set_arithmetic",)),
+    Mutation("the Hermitian hull is predicted as |Z| - k, not |Z| - c", "oracle.py",
+             "pred_int = len(Z) - p.c", "pred_int = len(Z) - p.k",
+             ("tests/test_oracle.py::test_predicted_intersection_matches_the_defining_set_arithmetic",)),
+    Mutation("DefiningSet keeps its residues unreduced", "defset.py",
+             "{e % self.n for e in self.elems}", "{e for e in self.elems}",
+             ("tests/test_defset.py::test_defset_normalizes",)),
+    Mutation("splitting_field gives up past 64 steps again", "gf.py",
+             "        s += 1\n    return field_create",
+             "        s += 1\n        if s > 64:\n"
+             "            raise ValueError(\"no multiplicative order found\")\n    return field_create",
+             ("tests/test_cli.py::test_a_splitting_degree_past_64_is_skipped_for_the_degree_cap",)),
+    Mutation("a defining-set flag keeps its empty tokens", "cli.py",
+             'for tok in text.split(",") if tok.strip() != "")', 'for tok in text.split(","))',
+             ("tests/test_cli.py::test_defining_set_flags_skip_empty_tokens",)),
 )
 
 

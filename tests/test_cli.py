@@ -196,7 +196,7 @@ def test_construct_verify_json_matches_the_digest(capsys, monkeypatch):
 
 def test_construct_parses_every_family_input():
     # construct's input flags are the union of the families' inputs: the
-    # defining sets z, z1, z2 as text, every other input as an int
+    # defining sets z, z1, z2 as tuples of ints, every other input as an int
     parser = cli.build_parser()
     flags = set()
     for family in FAMILIES.values():
@@ -205,11 +205,29 @@ def test_construct_parses_every_family_input():
             argv += [f"--{name}", "1,2" if name.startswith("z") else "3"]
         args = vars(parser.parse_args(argv))
         assert {name: args[name] for name in family.required} == {
-            name: "1,2" if name.startswith("z") else 3 for name in family.required}
+            name: (1, 2) if name.startswith("z") else 3 for name in family.required}
         flags |= set(args) - {"config", "command", "family", "verify", "format",
                               "d_kind", "d1_kind", "d2_kind"}
     assert flags == {"q", "n", "k", "b", "k1", "b1", "k2", "b2", "a", "t", "r", "m",
                      "delta", "d", "d1", "d2", "z", "z1", "z2"}
+
+
+def test_defining_set_flags_skip_empty_tokens():
+    parser = cli.build_parser()
+    for text, want in (("", ()), ("1,,2,", (1, 2)), (" 3 , -1", (3, -1)), (",", ())):
+        assert parser.parse_args(["construct", "euclid-lcd", "--z", text]).z == want
+
+
+@pytest.mark.parametrize("flag, text, token", [
+    ("--z1", "a", "a"), ("--z2", "1,x,2", "x"), ("--z", "1.5", "1.5")])
+def test_a_bad_defining_set_token_is_refused_by_its_flag(capsys, flag, text, token):
+    family = "euclid-lcd" if flag == "--z" else "euclid-pair"
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", family, "--n", "7", "--q", "2", flag, text, "--d", "2"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: "
+                        f"invalid literal for int() with base 10: {token!r}\n")
 
 
 def test_construct_missing_flags(capsys):
@@ -608,6 +626,15 @@ def test_verify_li_lcd(capsys):
     code, out, _ = run(capsys, "verify", "--family", "li-lcd", "--q", "2", "--m", "3")
     assert code == 0
     assert out.splitlines()[-1] == "16 passed, 0 failed, 32 skipped"
+
+
+def test_a_splitting_degree_past_64_is_skipped_for_the_degree_cap(capsys):
+    # 2 has order 82 mod 83: the field build, not the order search, refuses it
+    code, out, err = run(capsys, "verify", "--family", "euclid-lcd", "--q", "2", "--n", "83")
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[-1]) == (0, "", 5, "4 passed, 0 failed, 20 skipped")
+    note = "skip[splitting field unavailable: extension degree m = 82 outside [1, 12]]"
+    assert all(line.count(note) == 5 for line in lines[:-1])
 
 
 def test_verify_output_is_deterministic(capsys):

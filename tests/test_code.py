@@ -34,7 +34,6 @@ from quenta.defset import (
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
-    intersection_dim,
 )
 from quenta.gf import field_create, field_from_order, is_prime, prime_power, splitting_field
 from quenta.oracle import (
@@ -52,6 +51,7 @@ from helpers import (
     evaluate,
     hermitian_hull_dim,
     hull_dim,
+    intersection_dim,
     intersection_dim_matrices,
     reference_rref,
     stack,

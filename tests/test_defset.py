@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenta.defset import (
+    DefiningSet,
     bch_bound,
     coset_closed_subsets,
     coset_closure,
@@ -17,11 +18,10 @@ from quenta.defset import (
     defset,
     euclidean_dual_defset,
     hermitian_dual_defset,
-    intersection_dim,
     rs_defset,
 )
 
-from helpers import is_lcd_euclidean, is_lcd_hermitian
+from helpers import intersection_dim, is_lcd_euclidean, is_lcd_hermitian
 
 
 def test_cyclotomic_cosets_golden():
@@ -144,6 +144,12 @@ def test_defset_normalizes():
     assert Z.as_set() == {1}
     assert len(Z) == 1
     assert 1 in Z and 3 not in Z
+    # the constructor itself normalizes: any iterable, reduced, deduplicated, sorted
+    direct = DefiningSet(8, 3, iter([12, -1, 4, 7, 3]))
+    assert direct.elems == (3, 4, 7) and direct == defset(8, 3, {3, 4, 7})
+    assert hash(direct) == hash(defset(8, 3, [7, 4, 3]))
+    with pytest.raises(ValueError, match=r"^modulus n = 0 must be positive$"):
+        DefiningSet(0, 3, (1,))
 
 
 def test_defsets_equal_and_hash_by_modulus_base_and_elements():

@@ -9,7 +9,13 @@ from quenta import defset as defset_module
 from quenta import code as code_module
 from quenta import oracle
 from quenta.code import Matrix, cyclic_code
-from quenta.defset import bch_bound, coset_closed_subsets, defset
+from quenta.defset import (
+    bch_bound,
+    coset_closed_subsets,
+    defset,
+    euclidean_dual_defset,
+    hermitian_dual_defset,
+)
 from quenta.gf import CrossCheckError, field_create, field_from_order, splitting_field
 from quenta.oracle import (
     LOWER_OK,
@@ -22,7 +28,7 @@ from quenta.oracle import (
     verify_instance,
 )
 
-from helpers import hermitian_hull_dim
+from helpers import hermitian_hull_dim, intersection_dim
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -193,6 +199,33 @@ def test_verify_euclid_lcd_has_hull_row():
     rows = rows_by_name(rep)
     assert rows["hull"].measured == 0
     assert rep.passed
+
+
+# the verify sweeps of the benchmark's verify-mix, pairs-gf2 and hermitian-gf4
+# workloads that have an intersection row of their own, and a formula-mode window
+_PREDICTION_SWEEPS = [
+    ("bch-euclid", 3, None), ("rs-euclid", 7, None), ("rs-mds", 7, None), ("bch-hermit", 3, None),
+    ("euclid-pair", 2, 7), ("euclid-lcd", 2, 15), ("hermitian", 2, 5), ("hermitian-lcd", 2, 5),
+    ("euclid-pair", 2, 15), ("hermitian-lcd", 2, 15), ("rs-euclid", 9, 4),
+]
+
+
+@pytest.mark.parametrize("family, q, n", _PREDICTION_SWEEPS)
+def test_predicted_intersection_matches_the_defining_set_arithmetic(family, q, n):
+    # the oracle reads the intersection |Z1| - c from the claim; Theorem 1's
+    # set arithmetic, which it replaced, must give the same number
+    reports = sweep(family, q, n=n)
+    assert reports
+    for p, rep in zip(instances(family, q, n=n), reports, strict=True):
+        if family.startswith(("hermitian", "bch-hermit")):
+            Z = p.defset_named("Z")
+            want = len(Z.intersection(hermitian_dual_defset(Z)))
+        elif family == "euclid-lcd":
+            want = intersection_dim(euclidean_dual_defset(p.defset_named("Z")), p.defset_named("Z"))
+        else:
+            want = intersection_dim(euclidean_dual_defset(p.defset_named("Z1")),
+                                    p.defset_named("Z2"))
+        assert rows_by_name(rep)["intersection"].predicted == want, p.inputs
 
 
 def test_verify_rs_hermit_skips_distance():
