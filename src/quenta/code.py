@@ -89,8 +89,12 @@ class Matrix:
     def __repr__(self):
         return f"Matrix(field={self.field!r}, rows={self.rows!r}, ncols={self.ncols})"
 
+    def nonzero_rows(self):
+        """Per row, a value that is true exactly when the row is nonzero."""
+        return self.lanes if self.lanes is not None else map(any, self._rows)
+
     def is_zero(self) -> bool:
-        return not any(self.lanes if self.lanes is not None else map(any, self._rows))
+        return not any(self.nonzero_rows())
 
 
 def _made(field: GF, rows, ncols: int) -> Matrix:

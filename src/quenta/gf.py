@@ -32,20 +32,24 @@ _modulus_overrides: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and _prime_factors(p) == [p]
+    return _prime_factors(p) == [(p, 1)]
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(p, m) for each prime power p^m exactly dividing n, ascending; [] for n < 2.
+    A factor left with no divisor up to its square root is prime."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            m = 0
             while n % d == 0:
                 n //= d
+                m += 1
+            out.append((d, m))
         d += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
@@ -110,7 +114,8 @@ def _is_primitive(coeffs, p: int) -> bool:
     x = [0, 1]
     if m < 1 or not _is_one(_ppowmod(x, order, coeffs, p)):
         return False
-    return not any(_is_one(_ppowmod(x, order // ell, coeffs, p)) for ell in _prime_factors(order))
+    return not any(_is_one(_ppowmod(x, order // ell, coeffs, p))
+                   for ell, _ in _prime_factors(order))
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -305,18 +310,9 @@ def field_create(p: int, m: int) -> GF:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, m) with q = p^m for a prime p, or None when q is not a prime power.
-    A q >= 2 with no factor up to its square root is prime."""
-    if q < 2:
-        return None
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            return (p, m) if q == 1 else None
-    return q, 1
+    """(p, m) with q = p^m for a prime p, or None when q is not a prime power."""
+    factors = _prime_factors(q)
+    return factors[0] if len(factors) == 1 else None
 
 
 @lru_cache(maxsize=None)

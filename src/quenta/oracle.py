@@ -127,8 +127,7 @@ def relative_min_weight(C: LinearCode, M, cap: int = RELATIVE_DISTANCE_CAP):
     if C.field.q ** C.k > cap:
         return "capped"
     B, weights = C.light_basis
-    S = product(B, transpose(M))
-    outside = S.lanes if S.lanes is not None else map(any, S.rows)
+    outside = product(B, transpose(M)).nonzero_rows()
     return next((w for w, s in zip(weights, outside) if s), None)
 
 
@@ -198,13 +197,18 @@ def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
     return _family(p.family).verify(p, matrix_cap, distance_cap)
 
 
-def _materialize_base(q: int, n: int, matrix_cap: int):
-    """(base_field, ext_field) or (None, reason); q is a prime power.
+def _materialize_base(q: int, Z: DefiningSet, matrix_cap: int):
+    """(base_field, ext_field) for the cyclic codes of Z over GF(q), or (None, reason).
 
+    A Reed-Solomon window of length n != q - 1, whose coset base n + 1 is not q,
+    is formula mode, the first reason, ahead of the cap and of every field build.
     gf memoises both fields, and drops them whenever the modulus overrides
-    change.  The base field is built first, so that a bad override of its
+    change.  The base field is built next, so that a bad override of its
     modulus raises even when n exceeds the matrix cap.
     """
+    n = Z.n
+    if Z.q != q:
+        return None, f"formula mode (n = {n} != q - 1): not materialized"
     base = field_from_order(q)
     if n > matrix_cap:
         return None, f"n = {n} exceeds matrix cap {matrix_cap}"
@@ -219,54 +223,42 @@ def _materialize_base(q: int, n: int, matrix_cap: int):
     return (base, ext), None
 
 
-def _skip_rank_rows(p: QuentaParams, pred_int: int, lcd: bool, reason) -> VerificationReport:
-    """The k, c, intersection, d (and, for LCD, hull) rows, all skipped for one reason."""
-    names = [("k", p.k), ("c", p.c), ("intersection", pred_int), ("d", p.d)]
-    if lcd:
-        names.append(("hull", 0))
-    return _finish(p, [_skip_row(nm, pred, reason) for nm, pred in names])
+def _cyclic_claims(p: QuentaParams, Z1: DefiningSet, lcd: bool) -> tuple[tuple[str, int], ...]:
+    """A cyclic report's rows as (name, claim) pairs, in report order: k, c, the
+    intersection, the hull (LCD only) and d.  The entanglement rank asserts
+    c = dim C1-dual - the intersection (the hull if LCD), so the claim carries
+    the intersection as |Z1| - c, since dim C1-dual = |Z1|."""
+    hull = (("hull", 0),) if lcd else ()
+    return (("k", p.k), ("c", p.c), ("intersection", len(Z1) - p.c), *hull, ("d", p.d))
 
 
-def _rank_rows(p: QuentaParams, pred_int: int, lcd: bool, C1: LinearCode, k2: int,
-               c_rank: int, d) -> list[ReportRow]:
-    """The k, c, intersection, hull (LCD only) and d rows of the pair (C1, C2), k2 = dim C2.
-
-    The entanglement rank asserted c = dim C1-dual - the intersection (the hull if LCD);
-    pred_int reads the claim the same way, as |Z1| - c, since dim C1-dual = |Z1|."""
+def _rank_rows(p: QuentaParams, claims, C1: LinearCode, k2: int, c_rank: int, d):
+    """The claims' rows measured on the pair (C1, C2), k2 = dim C2: k, c, the intersection
+    and an LCD hull (the intersection again) from the entanglement rank, then d."""
     inter = C1.H.nrows - c_rank
-    rows = [
-        _exact_row("k", p.k, C1.k + k2 - p.n + c_rank),
-        _exact_row("c", p.c, c_rank),
-        _exact_row("intersection", pred_int, inter),
-    ]
-    if lcd:
-        rows.append(_exact_row("hull", 0, inter))
+    measured = (C1.k + k2 - p.n + c_rank, c_rank, inter, inter)
+    rows = [_exact_row(name, claim, m) for (name, claim), m in zip(claims[:-1], measured)]
     rows.append(_d_row(p, *d))
     return rows
 
 
 def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
                    lcd: bool = False) -> VerificationReport:
-    """Pair verifier; ``lcd`` adds the hull row.  A Reed-Solomon window of
-    length n != q - 1, whose coset base n + 1 is not q, is skipped (formula mode)."""
+    """Pair verifier; ``lcd`` adds the hull row."""
     if lcd:
         Z1 = Z2 = p.defset_named("Z")
     else:
         Z1, Z2 = p.defset_named("Z1"), p.defset_named("Z2")
-    n, q = p.n, p.q
-    pred_int = len(Z1) - p.c
-    if Z1.q != q:
-        return _skip_rank_rows(p, pred_int, lcd,
-                               f"formula mode (n = {n} != q - 1): not materialized")
-    made, reason = _materialize_base(q, n, matrix_cap)
+    claims = _cyclic_claims(p, Z1, lcd)
+    made, reason = _materialize_base(p.q, Z1, matrix_cap)
     if made is None:
-        return _skip_rank_rows(p, pred_int, lcd, reason)
+        return _finish(p, [_skip_row(*claim, reason) for claim in claims])
     base, ext = made
 
     C1, d1 = _measured_cyclic_code(Z1, base, ext, distance_cap)
     C2, d2 = _measured_cyclic_code(Z2, base, ext, distance_cap)
     c_rank = entanglement_rank_euclid(C1, C2)
-    rows = _rank_rows(p, pred_int, lcd, C1, C2.k, c_rank, combine_min([d1, d2]))
+    rows = _rank_rows(p, claims, C1, C2.k, c_rank, combine_min([d1, d2]))
 
     notes = []
     rel1 = _relative_weight(Z1, Z2, base, ext, distance_cap)
@@ -288,15 +280,15 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
     """Single-code verifier over GF(q^2), as the pair (C, C^q); ``lcd`` adds the hull row."""
     Z = p.defset_named("Z")
     q0 = p.q
-    pred_int = len(Z) - p.c
-    made, reason = _materialize_base(q0 * q0, p.n, matrix_cap)
+    claims = _cyclic_claims(p, Z, lcd)
+    made, reason = _materialize_base(q0 * q0, Z, matrix_cap)
     if made is None:
-        return _skip_rank_rows(p, pred_int, lcd, reason)
+        return _finish(p, [_skip_row(*claim, reason) for claim in claims])
     base, ext = made
 
     C, d = _measured_cyclic_code(Z, base, ext, distance_cap)
     c_rank = entanglement_rank_hermitian(C, q0)
-    rows = _rank_rows(p, pred_int, lcd, C, C.k, c_rank, d)
+    rows = _rank_rows(p, claims, C, C.k, c_rank, d)
 
     notes = []
     rel = relative_min_weight(C, C.frobenius_images[0])

@@ -191,11 +191,22 @@ MUTATIONS = (
               "tests/test_gf.py::"
               "test_modulus_overrides_replace_the_registry_and_rebuild_fields_only_on_change")),
     Mutation("the Euclidean intersection is predicted from Z2, not Z1", "oracle.py",
-             "pred_int = len(Z1) - p.c", "pred_int = len(Z2) - p.c",
+             "claims = _cyclic_claims(p, Z1, lcd)", "claims = _cyclic_claims(p, Z2, lcd)",
              ("tests/test_oracle.py::test_predicted_intersection_matches_the_defining_set_arithmetic",)),
-    Mutation("the Hermitian hull is predicted as |Z| - k, not |Z| - c", "oracle.py",
-             "pred_int = len(Z) - p.c", "pred_int = len(Z) - p.k",
+    Mutation("the intersection (or hull) is predicted as |Z1| - k, not |Z1| - c", "oracle.py",
+             '("intersection", len(Z1) - p.c)', '("intersection", len(Z1) - p.k)',
              ("tests/test_oracle.py::test_predicted_intersection_matches_the_defining_set_arithmetic",)),
+    Mutation("skipped Euclidean rows list d before hull", "oracle.py",
+             "for claim in claims])\n    base, ext = made\n\n    C1,",
+             "for claim in sorted(claims, key=lambda c: c[0] == 'hull')])"
+             "\n    base, ext = made\n\n    C1,",
+             ("tests/test_cli.py::test_a_skipped_lcd_construct_lists_its_rows_in_report_order",
+              "tests/test_cli.py::test_skipped_and_measured_lcd_lines_name_their_rows_alike")),
+    Mutation("the formula-mode check runs after the matrix-cap check", "oracle.py",
+             "    if Z.q != q:\n",
+             '    if n > matrix_cap:\n        return None, f"n = {n} exceeds matrix cap {matrix_cap}"\n'
+             "    if Z.q != q:\n",
+             ("tests/test_cli.py::test_formula_mode_is_reported_ahead_of_the_matrix_cap",)),
     Mutation("DefiningSet keeps its residues unreduced", "defset.py",
              "{e % self.n for e in self.elems}", "{e for e in self.elems}",
              ("tests/test_defset.py::test_defset_normalizes",)),

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -635,6 +636,41 @@ def test_a_splitting_degree_past_64_is_skipped_for_the_degree_cap(capsys):
     assert (code, err, len(lines), lines[-1]) == (0, "", 5, "4 passed, 0 failed, 20 skipped")
     note = "skip[splitting field unavailable: extension degree m = 82 outside [1, 12]]"
     assert all(line.count(note) == 5 for line in lines[:-1])
+
+
+def _verify_row_names(line: str) -> list[str]:
+    """The names of a verify line's rows, in report order (a skip note may hold ", ")."""
+    return re.findall(r"(?:\| |, )([a-z]+) (?=skip\[|-?\d)", line)
+
+
+def test_a_skipped_lcd_construct_lists_its_rows_in_report_order(capsys):
+    code, out, err = run(capsys, "construct", "euclid-lcd", "--n", "83", "--q", "2",
+                         "--z", "0", "--d", "2", "--verify")
+    rows = json.loads(out)["verification"]["rows"]
+    assert (code, err) == (0, "")
+    assert [r["name"] for r in rows] == ["k", "c", "intersection", "hull", "d"]
+    assert {r["kind"] for r in rows} == {oracle.SKIPPED}
+
+
+def test_skipped_and_measured_lcd_lines_name_their_rows_alike(capsys):
+    _, measured, _ = run(capsys, "verify", "--family", "euclid-lcd", "--q", "2", "--n", "15")
+    _, skipped, _ = run(capsys, "verify", "--family", "euclid-lcd", "--q", "2", "--n", "83")
+    measured, skipped = measured.splitlines()[:-1], skipped.splitlines()[:-1]
+    assert "skip[" not in measured[0] and len(skipped) == 4
+    assert all(line.count("skip[") == 5 for line in skipped)
+    assert _verify_row_names(measured[0]) == ["k", "c", "intersection", "hull", "d"]
+    assert all(_verify_row_names(line) == _verify_row_names(measured[0]) for line in skipped)
+
+
+def test_formula_mode_is_reported_ahead_of_the_matrix_cap(capsys):
+    # n = 101 exceeds the default matrix cap 100, and its windows' coset base 102 is not q
+    code, out, err = run(capsys, "construct", "rs-euclid", "--q", "128", "--n", "101",
+                         "--k1", "1", "--b1", "0", "--k2", "1", "--b2", "0", "--verify")
+    rows = json.loads(out)["verification"]["rows"]
+    assert (code, err) == (0, "")
+    assert [r["name"] for r in rows] == ["k", "c", "intersection", "d"]
+    assert {(r["kind"], r["note"]) for r in rows} == {
+        (oracle.SKIPPED, "formula mode (n = 101 != q - 1): not materialized")}
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -175,6 +176,27 @@ def test_prime_power_stops_at_the_square_root():
     assert prime_power(10**9 + 7) == (10**9 + 7, 1)
     assert prime_power(10007 ** 2) == (10007, 2)
     assert time.perf_counter() - t0 < 0.5
+
+
+def _prime_power_to_the_first_factor(q):
+    """prime_power's reference: trial division up to the square root, stopping at
+    q's least prime factor p, then dividing p out."""
+    if q < 2:
+        return None
+    for p in range(2, math.isqrt(q) + 1):
+        if q % p == 0:
+            m = 0
+            while q % p == 0:
+                q //= p
+                m += 1
+            return (p, m) if q == 1 else None
+    return q, 1
+
+
+def test_prime_power_reads_the_prime_factorization():
+    """prime_power is the one-factor case of gf._prime_factors, for every q < 2^16."""
+    assert [prime_power(q) for q in (-7, -1, 0, 1)] == [None] * 4
+    assert all(prime_power(q) == _prime_power_to_the_first_factor(q) for q in range(1 << 16))
 
 
 def test_is_prime():
