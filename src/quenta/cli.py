@@ -223,8 +223,9 @@ def _report_line(rep: VerificationReport) -> str:
 
 
 def cmd_verify(args, cfg) -> int:
-    reports = sweep(args.family, matrix_cap=cfg.matrix_cap,
-                    distance_cap=cfg.distance_cap, **_sweep_kwargs(args))
+    # a verify line prints no note: the relative weights are not computed
+    reports = sweep(args.family, matrix_cap=cfg.matrix_cap, distance_cap=cfg.distance_cap,
+                    notes=False, **_sweep_kwargs(args))
     for rep in reports:
         sys.stdout.write(_report_line(rep) + "\n")
     failed = sum(1 for r in reports if not r.passed)

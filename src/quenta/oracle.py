@@ -192,9 +192,13 @@ def _d_row(p: QuentaParams, measured, measured_kind) -> ReportRow:
 # ----------------------------------------------------------------------
 
 def verify_instance(p: QuentaParams, matrix_cap: int = DEFAULT_MATRIX_CAP,
-                    distance_cap: int = DEFAULT_DISTANCE_CAP) -> VerificationReport:
-    """Re-measure every quantity of a constructed instance by brute force."""
-    return _family(p.family).verify(p, matrix_cap, distance_cap)
+                    distance_cap: int = DEFAULT_DISTANCE_CAP,
+                    notes: bool = True) -> VerificationReport:
+    """Re-measure every quantity of a constructed instance by brute force.
+
+    With ``notes`` off the report's rows and pass/fail are the same, but no
+    relative weight is computed and its ``notes`` are empty."""
+    return _family(p.family).verify(p, matrix_cap, distance_cap, notes)
 
 
 def _materialize_base(q: int, Z: DefiningSet, matrix_cap: int):
@@ -242,9 +246,9 @@ def _rank_rows(p: QuentaParams, claims, C1: LinearCode, k2: int, c_rank: int, d)
     return rows
 
 
-def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
+def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, notes, *,
                    lcd: bool = False) -> VerificationReport:
-    """Pair verifier; ``lcd`` adds the hull row."""
+    """Pair verifier; ``lcd`` adds the hull row, ``notes`` the relative weights."""
     if lcd:
         Z1 = Z2 = p.defset_named("Z")
     else:
@@ -259,25 +263,24 @@ def _verify_euclid(p: QuentaParams, matrix_cap, distance_cap, *,
     C2, d2 = _measured_cyclic_code(Z2, base, ext, distance_cap)
     c_rank = entanglement_rank_euclid(C1, C2)
     rows = _rank_rows(p, claims, C1, C2.k, c_rank, combine_min([d1, d2]))
-
-    notes = []
+    if not notes:
+        return _finish(p, rows)
     rel1 = _relative_weight(Z1, Z2, base, ext, distance_cap)
     rel2 = _relative_weight(Z2, Z1, base, ext, distance_cap)
     if "capped" in (rel1, rel2):
-        notes.append(_relative_capped_note(C1 if C1.k >= C2.k else C2))
+        note = _relative_capped_note(C1 if C1.k >= C2.k else C2)
     else:
         vals = [v for v in (rel1, rel2) if v is not None]
         joint = min(vals) if vals else None
-        notes.append(
-            f"relative distances outside the dual intersections: {rel1}, {rel2} "
-            f"(combined {joint}; claimed d = {p.d})"
-        )
-    return _finish(p, rows, notes)
+        note = (f"relative distances outside the dual intersections: {rel1}, {rel2} "
+                f"(combined {joint}; claimed d = {p.d})")
+    return _finish(p, rows, [note])
 
 
-def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
+def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, notes, *,
                       lcd: bool = False) -> VerificationReport:
-    """Single-code verifier over GF(q^2), as the pair (C, C^q); ``lcd`` adds the hull row."""
+    """Single-code verifier over GF(q^2), as the pair (C, C^q); ``lcd`` adds the hull
+    row, ``notes`` the relative weight."""
     Z = p.defset_named("Z")
     q0 = p.q
     claims = _cyclic_claims(p, Z, lcd)
@@ -289,17 +292,17 @@ def _verify_hermitian(p: QuentaParams, matrix_cap, distance_cap, *,
     C, d = _measured_cyclic_code(Z, base, ext, distance_cap)
     c_rank = entanglement_rank_hermitian(C, q0)
     rows = _rank_rows(p, claims, C, C.k, c_rank, d)
-
-    notes = []
+    if not notes:
+        return _finish(p, rows)
     rel = relative_min_weight(C, C.frobenius_images[0])
     if rel == "capped":
-        notes.append(_relative_capped_note(C))
+        note = _relative_capped_note(C)
     else:
-        notes.append(f"relative distance outside the Hermitian hull: {rel} (claimed d = {p.d})")
-    return _finish(p, rows, notes)
+        note = f"relative distance outside the Hermitian hull: {rel} (claimed d = {p.d})"
+    return _finish(p, rows, [note])
 
 
-def _verify_rs_hermit(p: QuentaParams, *_caps) -> VerificationReport:
+def _verify_rs_hermit(p: QuentaParams, *_caps_and_notes) -> VerificationReport:
     """k, c and the intersection from the two index sets the instance carries;
     the predicted intersection is the echoed s, which rs_hermit holds to its
     closed form."""
@@ -318,7 +321,7 @@ def _verify_rs_hermit(p: QuentaParams, *_caps) -> VerificationReport:
     return _finish(p, rows)
 
 
-def _verify_closed_form(p: QuentaParams, *_caps) -> VerificationReport:
+def _verify_closed_form(p: QuentaParams, *_caps_and_notes) -> VerificationReport:
     rows = [
         _skip_row("k", p.k, "closed form only; classical generators not materialized"),
         _exact_row("c", p.c, p.n - p.k, "maximal-entanglement arithmetic"),
@@ -418,7 +421,7 @@ class Family:
     name: str
     required: tuple[str, ...]  # construct inputs, in the order a missing-flag error names them
     grid: Callable[..., Iterable[QuentaParams]]  # (q=, n=, m=, a_values=, delta_values=)
-    verify: Callable[[QuentaParams, int, int], VerificationReport]  # (p, matrix_cap, distance_cap)
+    verify: Callable[[QuentaParams, int, int, bool], VerificationReport]  # (p, the two caps, notes)
     construct: Callable[..., QuentaParams]  # from the parsed CLI arguments
 
 
@@ -464,9 +467,11 @@ def instances(family: str, q: int, n: int | None = None, m: int | None = None,
 def sweep(family: str, q: int, n: int | None = None, m: int | None = None,
           a_values=None, delta_values=None,
           matrix_cap: int = DEFAULT_MATRIX_CAP,
-          distance_cap: int = DEFAULT_DISTANCE_CAP) -> list[VerificationReport]:
-    """verify_instance over the family's legal parameter grid, in grid order."""
+          distance_cap: int = DEFAULT_DISTANCE_CAP,
+          notes: bool = True) -> list[VerificationReport]:
+    """verify_instance over the family's legal parameter grid, in grid order; with
+    ``notes`` off no report computes its relative weights."""
     return [
-        verify_instance(p, matrix_cap, distance_cap)
+        verify_instance(p, matrix_cap, distance_cap, notes)
         for p in instances(family, q, n=n, m=m, a_values=a_values, delta_values=delta_values)
     ]

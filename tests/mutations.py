@@ -218,6 +218,22 @@ MUTATIONS = (
     Mutation("a defining-set flag keeps its empty tokens", "cli.py",
              'for tok in text.split(",") if tok.strip() != "")', 'for tok in text.split(","))',
              ("tests/test_cli.py::test_defining_set_flags_skip_empty_tokens",)),
+    Mutation("verify leaves the notes on", "cli.py",
+             "                    notes=False, **_sweep_kwargs(args))",
+             "                    **_sweep_kwargs(args))",
+             ("tests/test_cli.py::test_verify_computes_no_relative_weight_and_construct_verify_does",)),
+    Mutation("construct --verify turns the notes off", "cli.py",
+             "distance_cap=cfg.distance_cap)", "distance_cap=cfg.distance_cap, notes=False)",
+             ("tests/test_cli.py::test_construct_verify_json_matches_the_digest",
+              "tests/test_cli.py::test_verify_computes_no_relative_weight_and_construct_verify_does")),
+    Mutation("_verify_euclid ignores the notes switch", "oracle.py",
+             "combine_min([d1, d2]))\n    if not notes:\n", "combine_min([d1, d2]))\n    if False:\n",
+             ("tests/test_cli.py::test_verify_computes_no_relative_weight_and_construct_verify_does",
+              "tests/test_oracle.py::test_a_sweep_without_notes_has_the_same_rows_and_no_notes")),
+    Mutation("_verify_hermitian ignores the notes switch", "oracle.py",
+             "C.k, c_rank, d)\n    if not notes:\n", "C.k, c_rank, d)\n    if False:\n",
+             ("tests/test_cli.py::test_verify_computes_no_relative_weight_and_construct_verify_does",
+              "tests/test_oracle.py::test_a_sweep_without_notes_has_the_same_rows_and_no_notes")),
 )
 
 

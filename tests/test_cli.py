@@ -482,6 +482,26 @@ def test_verify_bch_euclid_summary(capsys):
     assert lines[-1] == "6 passed, 0 failed, 0 skipped"
 
 
+def test_verify_computes_no_relative_weight_and_construct_verify_does(capsys, monkeypatch):
+    # a verify line prints no note, so a verify sweep weighs no pair; the notes
+    # of construct --verify print the relative weights, so it computes them
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    calls = []
+    real = oracle.relative_min_weight
+    monkeypatch.setattr(oracle, "relative_min_weight",
+                        lambda *args: calls.append(args) or real(*args))
+    counts = []
+    oracle._relative_weight.cache_clear()  # construct's pair is weighed afresh
+    for argv in (["verify", "--family", "euclid-pair", "--q", "2", "--n", "7"],
+                 ["verify", "--family", "hermitian-lcd", "--q", "2", "--n", "5"],
+                 ["construct", "euclid-pair", "--n", "7", "--q", "2", "--z1", "1,2,4",
+                  "--z2", "3,5,6", "--d1", "3", "--d2", "3", "--verify"]):
+        calls.clear()
+        counts.append((run(capsys, *argv)[0], len(calls)))
+    assert counts[:2] == [(0, 0), (0, 0)]
+    assert counts[2][0] == 0 and counts[2][1] > 0
+
+
 def _fresh_env() -> dict:
     """The environment of a fresh interpreter that imports quenta from this tree."""
     src = Path(__file__).resolve().parents[1] / "src"

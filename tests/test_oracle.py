@@ -453,6 +453,17 @@ def test_pair_grid_of_256_codes_weighs_each_ordered_pair_once(monkeypatch):
     assert len(codes) == 256 and len(calls) == 256 ** 2
 
 
+@pytest.mark.parametrize("family, q, kw", [
+    ("bch-euclid", 3, {}), ("euclid-lcd", 2, {"n": 15}), ("hermitian", 2, {"n": 5}),
+    ("bch-hermit", 3, {}), ("rs-hermit", 4, {}), ("li-lcd", 2, {"m": 3})])
+def test_a_sweep_without_notes_has_the_same_rows_and_no_notes(family, q, kw):
+    # one sweep per verifier: notes off drops the relative weights and nothing else
+    plain = sweep(family, q, notes=False, **kw)
+    full = sweep(family, q, **kw)
+    assert plain == [r._replace(notes=()) for r in full]
+    assert all(r.notes for r in full) == (family not in ("rs-hermit", "li-lcd"))
+
+
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ with the benchmark's own ``load_reference`` and ``check``
 (``perfbench/run.py``): an output change fails here, not only in a benchmark
 run.  They must not depend on what ran before them in the process, in which
 order, or under which config.  The notes of their verify sweeps, which no
-verify line prints, are pinned by a digest.
+verify line prints, are pinned by a digest.  A verify sweep also prints the
+same bytes under every primitive modulus of its splitting field.
 """
 
 import contextlib
@@ -105,6 +106,47 @@ def test_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
 def test_base_field_memo_does_not_outlive_an_override(monkeypatch, tmp_path):
     # (x + 1)^2, the base field's modulus: its own memo must drop GF(4) too
     _refused_then_reference_again(monkeypatch, tmp_path, "modulus.2.2 = 1,0,1", (1, 0, 1))
+
+
+def _primitive_moduli(p: int, m: int) -> list[list[int]]:
+    """Every primitive modulus of GF(p^m), constant term first and the leading 1
+    last, in the order ``gf._find_modulus`` tries them."""
+    found = []
+    for enc in range(p ** m):
+        coeffs = [enc // p ** i % p for i in range(m)] + [1]
+        if gf._is_primitive(coeffs, p):
+            found.append(coeffs)
+    return found
+
+
+# verify sweeps, each with the prime p and degree m of its splitting field
+_MODULUS_SWEEPS = [
+    (("euclid-pair", "--q", "2", "--n", "15"), 2, 4),  # GF(16)
+    (("euclid-pair", "--q", "2", "--n", "9"), 2, 6),  # GF(64)
+    (("hermitian", "--q", "3", "--n", "10"), 3, 4),  # GF(81) over GF(9)
+]
+
+
+def test_verify_sweeps_print_the_same_bytes_under_every_primitive_modulus(monkeypatch, tmp_path):
+    # another primitive modulus gives the n-th root of unity beta^a, gcd(a, n) = 1,
+    # so the code of Z is the default's code of aZ, multiplier-equivalent to it:
+    # the same k, c, intersection and d, and so the same bytes
+    monkeypatch.delenv("QUENTA_CONFIG", raising=False)
+    cfg = tmp_path / "modulus.cfg"
+    counts = []
+    try:
+        for sweep, p, m in _MODULUS_SWEEPS:
+            argv = ["verify", "--family", *sweep]
+            default = _main(argv)
+            assert default[0] == 0 and default[1].endswith(" passed, 0 failed, 0 skipped\n")
+            moduli = _primitive_moduli(p, m)
+            for coeffs in moduli:
+                cfg.write_text(f"modulus.{p}.{m} = {','.join(map(str, coeffs))}\n")
+                assert _main(["--config", str(cfg), *argv]) == default, (sweep, coeffs)
+            counts.append(len(moduli))
+    finally:
+        gf.set_modulus_overrides({})  # the last invocation ran under the config
+    assert counts == [2, 6, 8]
 
 
 # sha256 over each note of the verify sweeps below followed by "\n", in sweep
